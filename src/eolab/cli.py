@@ -26,15 +26,14 @@ from .oracle import (
 from .patterns import (
     PREFIX_SCOPE_NOTE,
     ListingPrefix,
-    OrderPattern,
     ascents,
     eo_leq,
-    inversions,
     pattern_of,
 )
 from .poset import (
     POSET_SCOPE_NOTE,
     NoAntichainError,
+    _dot,
     build_poset,
     export,
     max_chain,
@@ -44,6 +43,7 @@ from .search import (
     InsufficientEnumerationError,
     SearchBudget,
     WitnessReport,
+    _first_violation,
     search_eo_witness,
     search_uniform_witness,
 )
@@ -105,7 +105,8 @@ def _read_file(path: str) -> str:
 def _cmd_pattern(args) -> tuple[int, str]:
     prefix = ListingPrefix(_parse_naturals(args.sequence, "sequence"))
     pattern = pattern_of(prefix)
-    up, down = ascents(pattern), inversions(pattern)
+    up = ascents(pattern)
+    down = up.complement()
     if args.format == "json":
         doc = {
             "pattern": pattern.to_json(),
@@ -131,20 +132,12 @@ def _verdict(left_right: bool, right_left: bool) -> str:
     return "incomparable"
 
 
-def _least_violation(p: OrderPattern, q: OrderPattern):
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p.ranks[i] < p.ranks[j] and not (q.ranks[i] < q.ranks[j]):
-                return (i, j)
-    return None
-
-
 def _cmd_cmp(args) -> tuple[int, str]:
     left = pattern_of(ListingPrefix(_parse_naturals(args.left, "--left")))
     right = pattern_of(ListingPrefix(_parse_naturals(args.right, "--right")))
     lr, rl = eo_leq(left, right), eo_leq(right, left)
-    vio_lr = None if lr else _least_violation(left, right)
-    vio_rl = None if rl else _least_violation(right, left)
+    vio_lr = None if lr else _first_violation(left, right)
+    vio_rl = None if rl else _first_violation(right, left)
     if args.format == "json":
         doc = {
             "patternLeft": left.to_json(),
@@ -170,24 +163,13 @@ def _cmd_cmp(args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _pattern_label(p: OrderPattern) -> str:
-    return "".join(str(v) for v in p.ranks)
-
-
 def _chain_output(patterns, n: int, key: str, fmt: str) -> str:
     if fmt == "json":
         doc = {"n": n, key: [p.to_json() for p in patterns], "scope": POSET_SCOPE_NOTE}
         return _dump_json(doc)
     if fmt == "dot":
-        lines = [f"digraph pattern_{key} {{", f'  label="{POSET_SCOPE_NOTE}";']
-        lines.extend(f'  "{_pattern_label(p)}";' for p in patterns)
-        if key == "chain":
-            lines.extend(
-                f'  "{_pattern_label(a)}" -> "{_pattern_label(b)}";'
-                for a, b in zip(patterns, patterns[1:])
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        edges = [(i, i + 1) for i in range(len(patterns) - 1)] if key == "chain" else []
+        return _dot(key, patterns, edges)
     return "".join(f"{_fmt_seq(p.ranks)}\n" for p in patterns)
 
 
@@ -202,21 +184,7 @@ def _cmd_poset(args) -> tuple[int, str]:
         return EXIT_OK, _chain_output(
             antichain.sorted_patterns(), args.n, "antichain", args.format
         )
-    poset = build_poset(args.n, cap=args.cap)
-    if args.format in ("json", "dot"):
-        return EXIT_OK, export(poset, args.format)
-    lines = [
-        f"n: {poset.n}",
-        f"nodes ({len(poset.nodes)}): "
-        + ", ".join(_pattern_label(p) for p in poset.nodes),
-        f"cover edges ({len(poset.hasse)}):",
-    ]
-    lines.extend(
-        f"  {_pattern_label(poset.nodes[a])} -> {_pattern_label(poset.nodes[b])}"
-        for a, b in poset.hasse
-    )
-    lines.append(f"scope: {POSET_SCOPE_NOTE}")
-    return EXIT_OK, "\n".join(lines) + "\n"
+    return EXIT_OK, export(build_poset(args.n, cap=args.cap), args.format)
 
 
 def _cmd_run(args) -> tuple[int, str]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import patterns as fast
-from .poset import build_poset
+from .poset import NoAntichainError, build_poset
 from .search import InsufficientEnumerationError, WitnessReport
 from .vm import EnumeratorProgram, dovetail
 
@@ -249,6 +249,31 @@ def check_hasse(n: int) -> OracleReport:
         checked=len(perms) ** 2 + 1,
         failures=tuple(failures),
     )
+
+
+def brute_force_antichain(n: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """The lexicographically least antichain of ``size`` length-n patterns,
+    by plain backtracking over the direct loop; ranks in lexicographic
+    order, or NoAntichainError.  Cap n <= 6.
+    """
+    _require(1 <= n <= 6, f"antichain brute force caps at n=6, got {n}")
+    perms = list(itertools.permutations(range(n)))
+
+    def extend(start: int, chosen: tuple) -> tuple | None:
+        if len(chosen) == size:
+            return chosen
+        for idx in range(start, len(perms)):
+            p = perms[idx]
+            if not any(_direct_leq(p, q) or _direct_leq(q, p) for q in chosen):
+                found = extend(idx + 1, chosen + (p,))
+                if found is not None:
+                    return found
+        return None
+
+    found = extend(0, ())
+    if found is None:
+        raise NoAntichainError(f"no antichain of size {size} among length-{n} patterns")
+    return found
 
 
 def _replay(native: tuple[int, ...], window: int, choices: tuple[int, ...]) -> tuple[int, ...]:

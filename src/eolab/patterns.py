@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 #: Elements are naturals that must fit in 64 unsigned bits.
@@ -88,6 +89,21 @@ class OrderPattern:
         """JSON form: an array of naturals, e.g. [1, 0, 2]."""
         return list(self.ranks)
 
+    @functools.cached_property
+    def ascent_mask(self) -> int:
+        """The ascent set as an int, built in O(n) int operations on first
+        use: p ≤eo q exactly when ``p.ascent_mask & ~q.ascent_mask == 0``."""
+        # Row i, at bit offset i*8*width, has bit j set for each ascent
+        # (i, j); ``above`` holds the positions of the values above p[i].
+        n = len(self.ranks)
+        width = (n + 7) // 8
+        rows = [0] * n
+        above = 0
+        for i in sorted(range(n), key=self.ranks.__getitem__, reverse=True):
+            rows[i] = above & -(2 << i)
+            above |= 1 << i
+        return int.from_bytes(b"".join([r.to_bytes(width, "little") for r in rows]), "little")
+
 
 @dataclass(frozen=True)
 class PairSet:
@@ -111,6 +127,10 @@ class PairSet:
     def to_json(self) -> list[list[int]]:
         """JSON form: lexicographically sorted array of [i, j] arrays."""
         return [[i, j] for i, j in sorted(self.pairs)]
+
+    def complement(self) -> PairSet:
+        """The index pairs of the same length not in this set."""
+        return PairSet(frozenset(combinations(range(self.n), 2)) - self.pairs, self.n)
 
 
 @dataclass(frozen=True)
@@ -177,28 +197,20 @@ def pattern_of(prefix: ListingPrefix | Sequence[int]) -> OrderPattern:
     return OrderPattern(tuple(rank_by_value[v] for v in prefix.elements))
 
 
-@functools.lru_cache(maxsize=None)
-def _ascent_pairs(ranks: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    n = len(ranks)
-    return frozenset(
-        (i, j) for i in range(n) for j in range(i + 1, n) if ranks[i] < ranks[j]
-    )
-
-
 def ascents(p: OrderPattern) -> PairSet:
     """Index pairs (i, j), i < j, with p[i] < p[j].
 
     >>> ascents(OrderPattern((1, 0, 2))).to_json()
     [[0, 2], [1, 2]]
     """
-    return PairSet(_ascent_pairs(p.ranks), len(p))
+    ranks = p.ranks
+    pairs = combinations(range(len(p)), 2)
+    return PairSet(frozenset((i, j) for i, j in pairs if ranks[i] < ranks[j]), len(p))
 
 
 def inversions(p: OrderPattern) -> PairSet:
     """Index pairs (i, j), i < j, with p[i] > p[j]; complement of ascents."""
-    n = len(p)
-    all_pairs = frozenset((i, j) for i in range(n) for j in range(i + 1, n))
-    return PairSet(all_pairs - _ascent_pairs(p.ranks), n)
+    return ascents(p).complement()
 
 
 def _check_lengths(p: OrderPattern, q: OrderPattern) -> None:
@@ -219,7 +231,7 @@ def eo_leq(p: OrderPattern, q: OrderPattern) -> bool:
     False
     """
     _check_lengths(p, q)
-    return _ascent_pairs(p.ranks) <= _ascent_pairs(q.ranks)
+    return p.ascent_mask & ~q.ascent_mask == 0
 
 
 def eo_lt(p: OrderPattern, q: OrderPattern) -> bool:

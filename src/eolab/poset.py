@@ -2,9 +2,9 @@
 
 Since two-sided eo_leq collapses to pattern equality, every equivalence
 class at a fixed length is a single pattern and the quotient order is the
-order on patterns themselves: bottom is the reversal, top is the
-identity, and cover edges swap one pair of adjacent values that sit out
-of order (removing exactly one inversion).
+weak order on the patterns themselves (Bjorner & Brenti, ch. 3): bottom
+is the reversal, top is the identity, and cover edges swap one pair of
+adjacent values that sit out of order (removing exactly one inversion).
 
 Everything is computed exhaustively, so lengths are capped (HARD_CAP
 nodes at n=8 already number 40,320).  The structures here are finite
@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .patterns import PREFIX_SCOPE_NOTE, OrderPattern, eo_leq, identity, inversions, reversal
+from .patterns import PREFIX_SCOPE_NOTE, OrderPattern, eo_leq
 
 #: Largest pattern length build_poset will attempt.
 HARD_CAP = 8
@@ -53,14 +53,12 @@ def all_patterns(n: int, cap: int = HARD_CAP) -> tuple[OrderPattern, ...]:
 class PatternPoset:
     """All length-n patterns with the eo_leq relation and its cover edges.
 
-    ``up[i]`` holds the indices j (including i itself) with
-    ``nodes[i] <= nodes[j]``; ``hasse`` is the transitive reduction as
-    sorted (lower, upper) index pairs into ``nodes``.
+    ``hasse`` holds the cover edges as sorted (lower, upper) index pairs
+    into ``nodes``; comparisons are answered on demand by ``leq``.
     """
 
     n: int
     nodes: tuple[OrderPattern, ...]
-    up: tuple[frozenset[int], ...]
     hasse: tuple[tuple[int, int], ...]
     _index: dict[OrderPattern, int] = field(compare=False, repr=False, default_factory=dict)
 
@@ -71,47 +69,30 @@ class PatternPoset:
         return self._index[p]
 
     def leq(self, p: OrderPattern, q: OrderPattern) -> bool:
-        return self._index[q] in self.up[self._index[p]]
-
-    def covers(self, p: OrderPattern) -> tuple[OrderPattern, ...]:
-        i = self._index[p]
-        return tuple(self.nodes[b] for a, b in self.hasse if a == i)
-
-    @property
-    def maximum(self) -> OrderPattern:
-        return identity(self.n)
-
-    @property
-    def minimum(self) -> OrderPattern:
-        return reversal(self.n)
+        """Whether node p lies below node q, from the nodes' ascent bitmasks."""
+        return eo_leq(self.nodes[self._index[p]], self.nodes[self._index[q]])
 
 
 def build_poset(n: int, cap: int = HARD_CAP) -> PatternPoset:
-    """Materialize the full relation and its transitive reduction.
+    """All length-n patterns and their cover edges, in O(n * n!).
 
-    The relation is evaluated with eo_leq on all ordered pairs; the
-    Hasse diagram is the generic transitive reduction (an edge survives
-    iff nothing lies strictly between its endpoints).
+    A pattern is covered by exactly the patterns obtained by swapping
+    values v+1 and v where v+1 sits left of v, so each node emits one
+    edge per such v; there are (n-1) * n! / 2 edges in all.
     """
     nodes = all_patterns(n, cap)
-    m = len(nodes)
-    up = []
-    for i, p in enumerate(nodes):
-        up.append(frozenset(j for j, q in enumerate(nodes) if eo_leq(p, q)))
-    strict_up = [up[i] - {i} for i in range(m)]
-
+    index = {p.ranks: i for i, p in enumerate(nodes)}
     hasse = []
-    for i in range(m):
-        through = set()
-        for w in strict_up[i]:
-            through |= strict_up[w]
-        hasse.extend((i, j) for j in sorted(strict_up[i] - through))
+    for i, p in enumerate(nodes):
+        position = sorted(range(n), key=p.ranks.__getitem__)
+        for v in range(n - 1):
+            left, right = position[v + 1], position[v]
+            if left < right:
+                upper = list(p.ranks)
+                upper[left], upper[right] = v, v + 1
+                hasse.append((i, index[tuple(upper)]))
     hasse.sort()
-
-    poset = PatternPoset(n=n, nodes=nodes, up=tuple(up), hasse=tuple(hasse))
-    assert poset.up[poset.index(poset.minimum)] == frozenset(range(m))
-    assert all(poset.index(poset.maximum) in u for u in poset.up)
-    return poset
+    return PatternPoset(n=n, nodes=nodes, hasse=tuple(hasse))
 
 
 @dataclass(frozen=True)
@@ -180,53 +161,69 @@ def max_chain(n: int, cap: int = HARD_CAP) -> Chain:
 def sample_antichain(n: int, size: int, cap: int = HARD_CAP) -> Antichain:
     """The lexicographically least antichain of the requested size.
 
-    Greedy scan in lexicographic node order with backtracking, so an
-    antichain is found whenever one exists; raises NoAntichainError
-    otherwise (e.g. n <= 2, where the poset is a chain).
+    Depth-first scan in lexicographic node order with backtracking, so
+    an antichain is found whenever one exists; raises NoAntichainError
+    otherwise (e.g. n <= 2, where the poset is a chain).  A branch stops
+    once fewer allowed candidates remain than are still needed.
     """
     _check_n(n, cap)
     if size < 2:
         raise ValueError(f"antichain size must be >= 2, got {size}")
     nodes = all_patterns(n, cap)
+    masks = [p.ascent_mask for p in nodes]
+    comparable: dict[int, int] = {}  # node index -> bits of the nodes comparable to it
 
-    def extend(start: int, chosen: list[OrderPattern]) -> list[OrderPattern] | None:
-        if len(chosen) == size:
-            return chosen
-        for idx in range(start, len(nodes)):
-            candidate = nodes[idx]
-            if all(
-                not eo_leq(candidate, picked) and not eo_leq(picked, candidate)
-                for picked in chosen
-            ):
-                found = extend(idx + 1, chosen + [candidate])
-                if found is not None:
-                    return found
+    def extend(allowed: int, need: int) -> list[int] | None:
+        # ``allowed``: bits of the later nodes incomparable with every chosen one.
+        if need == 0:
+            return []
+        while allowed.bit_count() >= need:
+            lowest = allowed & -allowed
+            allowed ^= lowest
+            idx = lowest.bit_length() - 1
+            if idx not in comparable:
+                m = masks[idx]
+                bits = "".join("0" if m & ~o and o & ~m else "1" for o in reversed(masks))
+                comparable[idx] = int(bits, 2)
+            found = extend(allowed & ~comparable[idx], need - 1)
+            if found is not None:
+                return [idx] + found
         return None
 
-    found = extend(0, [])
+    found = extend((1 << len(nodes)) - 1, size)
     if found is None:
         raise NoAntichainError(f"no antichain of size {size} among length-{n} patterns")
-    return Antichain(frozenset(found))
+    return Antichain(frozenset(nodes[i] for i in found))
 
 
 def _label(p: OrderPattern) -> str:
     return "".join(str(v) for v in p.ranks)
 
 
+def _dot(graph: str, patterns, edges) -> str:
+    """Graphviz rendering of ``patterns`` with (from, to) index ``edges``."""
+    lines = [f"digraph pattern_{graph} {{", f'  label="{POSET_SCOPE_NOTE}";']
+    lines.extend(f'  "{_label(p)}";' for p in patterns)
+    lines.extend(f'  "{_label(patterns[a])}" -> "{_label(patterns[b])}";' for a, b in edges)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def export(poset: PatternPoset, format: str) -> str:
-    """Render the poset as DOT or JSON; byte-stable for a fixed input."""
-    if format == "dot":
+    """Render the poset as text, DOT or JSON; byte-stable for a fixed input."""
+    if format == "text":
         lines = [
-            "digraph pattern_poset {",
-            f'  label="{POSET_SCOPE_NOTE}";',
+            f"n: {poset.n}",
+            f"nodes ({len(poset.nodes)}): " + ", ".join(map(_label, poset.nodes)),
+            f"cover edges ({len(poset.hasse)}):",
         ]
-        lines.extend(f'  "{_label(p)}";' for p in poset.nodes)
         lines.extend(
-            f'  "{_label(poset.nodes[a])}" -> "{_label(poset.nodes[b])}";'
-            for a, b in poset.hasse
+            f"  {_label(poset.nodes[a])} -> {_label(poset.nodes[b])}" for a, b in poset.hasse
         )
-        lines.append("}")
+        lines.append(f"scope: {POSET_SCOPE_NOTE}")
         return "\n".join(lines) + "\n"
+    if format == "dot":
+        return _dot("poset", poset.nodes, poset.hasse)
     if format == "json":
         doc = {
             "n": poset.n,
@@ -235,9 +232,4 @@ def export(poset: PatternPoset, format: str) -> str:
             "scope": POSET_SCOPE_NOTE,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    raise ValueError(f"unknown export format {format!r} (expected 'dot' or 'json')")
-
-
-def rank(p: OrderPattern) -> int:
-    """Number of inversions; the grading of the poset (0 at the top)."""
-    return len(inversions(p))
+    raise ValueError(f"unknown export format {format!r} (expected 'text', 'dot' or 'json')")

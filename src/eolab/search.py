@@ -169,16 +169,15 @@ def compare_native(
     Truncation yields an in-band "insufficient_enumeration" outcome
     rather than a relation verdict.
     """
-    trace_a = dovetail(prog_a, k, round_cap)
-    trace_b = dovetail(prog_b, k, round_cap)
-    truncated = tuple(t.program for t in (trace_a, trace_b) if t.truncated)
-    if truncated:
+    try:
+        trace_a, trace_b = native_traces(prog_a, prog_b, k, round_cap)
+    except InsufficientEnumerationError as exc:
         return NativeComparison(
             status="insufficient_enumeration",
             k=k,
             program_a=prog_a.name,
             program_b=prog_b.name,
-            truncated_programs=truncated,
+            truncated_programs=exc.programs,
         )
     pat_a = pattern_of(trace_a.as_prefix())
     pat_b = pattern_of(trace_b.as_prefix())

@@ -114,6 +114,32 @@ def test_criterion_05_poset_structure():
         assert elapsed < 30.0
 
 
+def test_poset_n7_cli_covers_are_adjacent_value_swaps():
+    start = time.monotonic()
+    proc = eolab("poset", "--n", "7", "--cap", "7", "--format", "json")
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0
+    assert elapsed < 2.0
+    doc = json.loads(proc.stdout)
+    nodes = doc["nodes"]
+    assert len(nodes) == 5040 and len(doc["hasse"]) == 15_120
+    for a, b in doc["hasse"]:
+        lower, upper = nodes[a], nodes[b]
+        diff = [i for i in range(7) if lower[i] != upper[i]]
+        assert len(diff) == 2
+        i, j = diff
+        assert lower[i] == lower[j] + 1 and (upper[i], upper[j]) == (lower[j], lower[i])
+
+
+def test_build_poset_n8():
+    start = time.monotonic()
+    poset = build_poset(8, cap=8)
+    elapsed = time.monotonic() - start
+    assert len(poset.nodes) == 40_320
+    assert len(poset.hasse) == 141_120
+    assert elapsed < 30.0
+
+
 def test_criterion_06_chain_analogue():
     with criterion(6, "`poset --n 6 --chain`: 16 patterns, each step a cover"):
         start = time.monotonic()

@@ -11,6 +11,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from eolab.oracle import _direct_leq
 from eolab.patterns import (
     MAX_ELEMENT,
     DuplicateElementError,
@@ -177,6 +178,32 @@ def test_eo_leq_related_pair_count_n3():
 def test_eo_leq_agrees_with_direct_oracle(n):
     for p, q in itertools.product(all_patterns(n), repeat=2):
         assert eo_leq(p, q) == direct_leq(p.ranks, q.ranks)
+
+
+@st.composite
+def pattern_pairs(draw):
+    """Two patterns of one length 1..64.  Half the time the second is the
+    first moved down by random adjacent-value swaps, each adding an
+    inversion, so the pair is comparable; random pairs almost never are."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    upper = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        return OrderPattern(tuple(upper)), OrderPattern(tuple(draw(st.permutations(range(n)))))
+    lower = list(upper)
+    position = {v: i for i, v in enumerate(lower)}
+    for v in draw(st.lists(st.integers(min_value=0, max_value=max(n - 2, 0)), max_size=3 * n)):
+        left, right = position[v], position.get(v + 1, -1)
+        if left < right:
+            lower[left], lower[right] = v + 1, v
+            position[v], position[v + 1] = right, left
+    return OrderPattern(tuple(upper)), OrderPattern(tuple(lower))
+
+
+@given(pattern_pairs())
+def test_eo_leq_agrees_with_oracle_on_long_patterns(pair):
+    p, q = pair
+    assert eo_leq(p, q) == _direct_leq(p.ranks, q.ranks)
+    assert eo_leq(q, p) == _direct_leq(q.ranks, p.ranks)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from eolab.oracle import brute_force_antichain
 from eolab.patterns import OrderPattern, eo_leq, identity, inversions, reversal
 from eolab.poset import (
     Antichain,
@@ -110,9 +111,16 @@ def test_extremes_reachability(n):
     poset = build_poset(n)
     top = poset.index(identity(n))
     bottom = poset.index(reversal(n))
-    for i in range(len(poset.nodes)):
-        assert top in poset.up[i]
-        assert i in poset.up[bottom]
+    for p in poset.nodes:
+        assert poset.leq(p, poset.nodes[top])
+        assert poset.leq(poset.nodes[bottom], p)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_leq_agrees_with_direct_oracle(n):
+    poset = build_poset(n)
+    for p, q in itertools.product(poset.nodes, repeat=2):
+        assert poset.leq(p, q) == direct_leq(p.ranks, q.ranks)
 
 
 # --- max_chain -----------------------------------------------------------
@@ -181,6 +189,18 @@ def test_antichain_unavailable():
         sample_antichain(3, 5)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_antichain_matches_backtracking_oracle(n):
+    for size in range(2, 9):
+        try:
+            want = brute_force_antichain(n, size)
+        except NoAntichainError:
+            with pytest.raises(NoAntichainError):
+                sample_antichain(n, size)
+            continue
+        assert tuple(p.ranks for p in sample_antichain(n, size).sorted_patterns()) == want
+
+
 def test_antichain_size_precondition():
     with pytest.raises(ValueError):
         sample_antichain(3, 1)
@@ -211,7 +231,7 @@ def test_export_json_n3():
         assert direct_leq(doc["nodes"][a], doc["nodes"][b])
 
 
-@pytest.mark.parametrize("fmt", ["dot", "json"])
+@pytest.mark.parametrize("fmt", ["text", "dot", "json"])
 def test_export_byte_stable(fmt):
     poset = build_poset(3)
     assert export(poset, fmt) == export(poset, fmt)
