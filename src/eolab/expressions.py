@@ -14,7 +14,9 @@ Guards add comparisons and boolean connectives on top::
 
 The only bound variable is ``i``.  Arithmetic is checked unsigned
 64-bit: subtraction truncates at zero, anything exceeding 2**64 - 1
-raises instead of wrapping.
+raises instead of wrapping.  Parentheses may nest, and the syntax tree
+may grow, at most ``MAX_DEPTH`` levels deep, so that parsing and the
+recursive evaluator stay well inside the default recursion limit.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Union
 
 MAX_VALUE = 2**64 - 1
+MAX_DEPTH = 100
 
 _KEYWORDS = {"mod", "and", "or"}
 _CMP_OPS = {"==", "!=", "<", "<="}
@@ -159,6 +162,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.at = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.at]
@@ -182,7 +186,11 @@ class _Parser:
                 raise ExpressionSyntaxError(f"unexpected keyword {tok.text!r}", tok.position)
             raise UnknownIdentifierError(tok.text, tok.position)
         if tok.kind == "op" and tok.text == "(":
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                raise ExpressionSyntaxError(f"parentheses nest deeper than {MAX_DEPTH}", tok.position)
             inner = self.expr()
+            self.nesting -= 1
             closing = self.advance()
             if closing.text != ")":
                 raise ExpressionSyntaxError("expected ')'", closing.position)
@@ -235,6 +243,18 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing {tok.text!r}", tok.position)
+
+
+def _check_depth(root: Union[_ArithNode, _BoolNode]) -> None:
+    # Iterative, so a left-deep chain of thousands of terms is measured
+    # without the recursion that evaluating it would need.
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 1)
+        if isinstance(node, (_Arith, _Compare, _Logic)):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
 
 
 # --- evaluation -----------------------------------------------------------
@@ -304,6 +324,7 @@ def parse_arith(source: str) -> ArithExpr:
     parser = _Parser(source)
     root = parser.expr()
     parser.expect_end()
+    _check_depth(root)
     return ArithExpr(source, root)
 
 
@@ -311,4 +332,5 @@ def parse_guard(source: str) -> GuardExpr:
     parser = _Parser(source)
     root = parser.guard()
     parser.expect_end()
+    _check_depth(root)
     return GuardExpr(source, root)

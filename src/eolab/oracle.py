@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import patterns as fast
+from .expressions import EvaluationError
 from .poset import NoAntichainError, build_poset
-from .search import InsufficientEnumerationError, WitnessReport
-from .vm import EnumeratorProgram, dovetail
+from .search import WitnessReport, native_traces
+from .vm import DovetailTrace, EnumeratorProgram
 
 
 class OracleCapError(ValueError):
@@ -276,6 +277,73 @@ def brute_force_antichain(n: int, size: int) -> tuple[tuple[int, ...], ...]:
     return found
 
 
+def brute_force_dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> DovetailTrace:
+    """The dovetailer, literally: every round r retries each pending input
+    i <= r in increasing order, charging min(cost, r) (r if the guard
+    fails) per attempt, until k values are emitted or round_cap is hit.
+    O(round_cap**2) attempts; the reference for ``vm.dovetail``.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if round_cap < 1:
+        raise ValueError(f"round_cap must be >= 1, got {round_cap}")
+
+    guard_memo: dict[int, bool] = {}
+    cost_memo: dict[int, int] = {}
+    halted: set[int] = set()
+    diverging: set[int] = set()
+    emitted: list[int] = []
+    seen: set[int] = set()
+    steps = 0
+
+    def guard_holds(i: int) -> bool:
+        if i not in guard_memo:
+            guard_memo[i] = prog.guard.evaluate(i) if prog.guard is not None else True
+        return guard_memo[i]
+
+    def cost_of(i: int) -> int:
+        if i not in cost_memo:
+            cost = prog.cost.evaluate(i)
+            if cost < 1:
+                raise EvaluationError("cost must be >= 1", prog.cost.source, i)
+            cost_memo[i] = cost
+        return cost_memo[i]
+
+    for r in range(1, round_cap + 1):
+        for i in range(r + 1):
+            if i in halted or i in diverging:
+                continue
+            if not guard_holds(i):
+                diverging.add(i)
+                steps += r
+                continue
+            cost = cost_of(i)
+            steps += min(cost, r)
+            if cost <= r:
+                halted.add(i)
+                value = prog.value.evaluate(i)
+                if value not in seen:
+                    seen.add(value)
+                    emitted.append(value)
+                    if len(emitted) == k:
+                        return DovetailTrace(
+                            program=prog.name,
+                            rounds=r,
+                            emitted=tuple(emitted),
+                            halted_inputs=frozenset(halted),
+                            steps_charged=steps,
+                            truncated=False,
+                        )
+    return DovetailTrace(
+        program=prog.name,
+        rounds=round_cap,
+        emitted=tuple(emitted),
+        halted_inputs=frozenset(halted),
+        steps_charged=steps,
+        truncated=True,
+    )
+
+
 def _replay(native: tuple[int, ...], window: int, choices: tuple[int, ...]) -> tuple[int, ...]:
     # Minimal re-statement of the window scheduler, kept local so the
     # oracle does not lean on the module it validates.
@@ -308,12 +376,7 @@ def brute_force_witness(
     if relation not in ("eo_leq", "uniform"):
         raise ValueError(f"unknown relation {relation!r}")
 
-    trace_a = dovetail(prog_a, k, round_cap)
-    trace_b = dovetail(prog_b, k, round_cap)
-    truncated = tuple(t.program for t in (trace_a, trace_b) if t.truncated)
-    if truncated:
-        raise InsufficientEnumerationError(truncated, k, round_cap)
-
+    trace_a, trace_b = native_traces(prog_a, prog_b, k, round_cap)
     step_ranges = [range(min(w, k - t)) for t in range(k)]
     side_a = [
         (choices, _replay(trace_a.emitted, w, choices))

@@ -3,11 +3,11 @@
 A program denotes a partial function on the naturals: ``value`` gives the
 output for input i, ``cost`` the number of simulated steps before input i
 halts, and an optional ``guard`` marks inputs that never halt.  The
-dovetailer runs rounds r = 1, 2, ...; in round r every pending input
-i <= r that satisfies its guard halts as soon as cost(i) <= r, and its
-value is emitted unless already seen.  This makes the enumeration order
-of a set depend on halting times rather than on value magnitude, which
-is the whole point of the model.
+dovetailer runs rounds r = 1, 2, ...; input i is first tried in round
+max(1, i) and, if its guard holds, halts in round H(i) = max(i, cost(i)).
+The native listing is the halting inputs' values in (H(i), i) order, each
+kept at its first emission, so the order depends on halting times rather
+than on value magnitude, which is the whole point of the model.
 
 Schedulers derive alternative listings of the same emitted set by
 buffering up to ``window`` elements of the native order and choosing
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence, Union
 
 from .expressions import ArithExpr, EvaluationError, GuardExpr, parse_arith, parse_guard
@@ -63,6 +64,8 @@ def parse_program(source: str) -> EnumeratorProgram:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
         raise ProgramError(f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})")
+    except RecursionError:
+        raise ProgramError("invalid JSON: nested too deeply")
     if not isinstance(doc, dict):
         raise ProgramError("program document must be a JSON object")
     unknown = set(doc) - {"name", "value", "cost", "guard"}
@@ -95,7 +98,10 @@ class DovetailTrace:
     prefix of the program's native listing); it is a plain tuple because
     a truncated trace may hold no emissions at all.  ``steps_charged``
     totals the simulated steps: every round-r attempt at a pending input
-    charges min(cost, r) when the guard holds and r when it does not.
+    charges min(cost, r) when the guard holds and r when it does not: in
+    all, s if i diverges, T(s, H(i) - 1) + cost(i) if it halted and T(s, L)
+    if pending, with s = max(1, i), T(a, b) = a + ... + b and L the final
+    round (the one before it for inputs above that of the k-th emission).
     """
 
     program: str
@@ -118,71 +124,64 @@ class DovetailTrace:
         }
 
 
+def _span(a: int, b: int) -> int:
+    """a + (a+1) + ... + b; 0 when b = a - 1."""
+    return (a + b) * (b - a + 1) // 2
+
+
 def dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> DovetailTrace:
     """Run the dovetailer until k values are emitted or round_cap is hit.
 
-    Deterministic: rounds increase, and within a round pending inputs
-    are tried in increasing order.  Hitting round_cap yields a trace
-    flagged truncated, not an error.
+    One sweep: round r halts the inputs due in it in increasing order,
+    then tries input r (0 and 1 in round 1), filing it under H(r) unless
+    it halts at once.  Expressions are evaluated in the order of the
+    literal round loop, ``oracle.brute_force_dovetail``.  Hitting
+    round_cap yields a trace flagged truncated, not an error.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if round_cap < 1:
         raise ValueError(f"round_cap must be >= 1, got {round_cap}")
 
-    guard_memo: dict[int, bool] = {}
-    cost_memo: dict[int, int] = {}
+    due: dict[int, list[int]] = {}  # halting round -> pending inputs, increasing
     halted: set[int] = set()
-    diverging: set[int] = set()
-    emitted: list[int] = []
-    seen: set[int] = set()
+    emitted: dict[int, None] = {}  # values in first-emission order
     steps = 0
 
-    def guard_holds(i: int) -> bool:
-        if i not in guard_memo:
-            guard_memo[i] = prog.guard.evaluate(i) if prog.guard is not None else True
-        return guard_memo[i]
-
-    def cost_of(i: int) -> int:
-        if i not in cost_memo:
-            cost = prog.cost.evaluate(i)
-            if cost < 1:
-                raise EvaluationError("cost must be >= 1", prog.cost.source, i)
-            cost_memo[i] = cost
-        return cost_memo[i]
-
     for r in range(1, round_cap + 1):
-        for i in range(r + 1):
-            if i in halted or i in diverging:
-                continue
-            if not guard_holds(i):
-                diverging.add(i)
+        for i in chain(due.get(r, ()), (0, 1) if r == 1 else (r,)):
+            start = max(1, i)
+            if start < r:  # filed in an earlier round, so its cost is r
+                steps += _span(start, r)
+            elif prog.guard is not None and not prog.guard.evaluate(i):
                 steps += r
                 continue
-            cost = cost_of(i)
-            steps += min(cost, r)
-            if cost <= r:
-                halted.add(i)
-                value = prog.value.evaluate(i)
-                if value not in seen:
-                    seen.add(value)
-                    emitted.append(value)
-                    if len(emitted) == k:
-                        return DovetailTrace(
-                            program=prog.name,
-                            rounds=r,
-                            emitted=tuple(emitted),
-                            halted_inputs=frozenset(halted),
-                            steps_charged=steps,
-                            truncated=False,
-                        )
+            else:
+                cost = prog.cost.evaluate(i)
+                if cost < 1:
+                    raise EvaluationError("cost must be >= 1", prog.cost.source, i)
+                if cost > r:
+                    due.setdefault(cost, []).append(i)
+                    continue
+                steps += cost
+            halted.add(i)
+            emitted[prog.value.evaluate(i)] = None
+            if len(emitted) == k:
+                break
+        if len(emitted) == k:
+            break
+        due.pop(r, None)
+
+    # Pending inputs above i, the last tried in round r, last ran in round r - 1.
+    pending = (j for bucket in due.values() for j in bucket if j not in halted)
+    steps += sum(_span(max(1, j), r - (j > i)) for j in pending)
     return DovetailTrace(
         program=prog.name,
-        rounds=round_cap,
+        rounds=r,
         emitted=tuple(emitted),
         halted_inputs=frozenset(halted),
         steps_charged=steps,
-        truncated=True,
+        truncated=len(emitted) < k,
     )
 
 

@@ -217,6 +217,20 @@ def test_criterion_09_vm_determinism_and_order():
         assert first.stdout == second.stdout
 
 
+def test_run_round_cap_100000_is_cheap():
+    start = time.monotonic()
+    proc = eolab(
+        "run", "--program", str(PROGRAMS / "evens_only.json"),
+        "--k", "100000", "--round-cap", "100000", "--format", "json",
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0
+    assert elapsed < 5.0
+    doc = json.loads(proc.stdout)
+    assert doc["truncated"] and doc["rounds"] == 100_000
+    assert doc["emitted"] == list(range(0, 100_001, 2))
+
+
 def test_criterion_10_scheduler_window_invariant():
     with criterion(10, "window locality on the committed scheduler corpus"):
         entries = json.loads(

@@ -231,6 +231,23 @@ def test_run_bad_json_exit_2(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        json.dumps({"name": "deep", "value": "(" * 3000 + "i" + ")" * 3000, "cost": "1"}),
+        json.dumps({"name": "long", "value": "+".join(["i"] * 5000), "cost": "1"}),
+        "[" * 100_000,
+    ],
+    ids=["nested_parens", "long_sum", "nested_json"],
+)
+def test_run_deep_input_exit_2(capsys, tmp_path, source):
+    deep = tmp_path / "deep.json"
+    deep.write_text(source, encoding="utf-8")
+    code, out, err = invoke(capsys, "run", "--program", str(deep), "--k", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_run_missing_file_exit_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "run", "--program", str(tmp_path / "nope.json"), "--k", "2")
     assert code == 2

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eolab.expressions import EvaluationError
 from eolab.oracle import (
     OracleCapError,
+    brute_force_dovetail,
     brute_force_witness,
     check_hasse,
     check_inversion_equiv,
@@ -16,8 +20,9 @@ from eolab.oracle import (
     check_theorem10,
 )
 from eolab.search import InsufficientEnumerationError
+from eolab.vm import dovetail, parse_program
 
-from conftest import load_program
+from conftest import PROGRAMS, load_program
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
@@ -120,3 +125,48 @@ def test_brute_force_truncation():
 def test_determinism():
     assert check_theorem10(3) == check_theorem10(3)
     assert check_hasse(3) == check_hasse(3)
+
+
+def _outcome(run, prog, k, round_cap):
+    try:
+        return run(prog, k, round_cap)
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_dovetail_agrees(prog, k, round_cap):
+    # Whole traces (emitted, rounds, halted_inputs, steps_charged,
+    # truncated) must match, or the first error's type and message.
+    assert _outcome(dovetail, prog, k, round_cap) == _outcome(
+        brute_force_dovetail, prog, k, round_cap
+    )
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROGRAMS.glob("*.json")))
+@pytest.mark.parametrize("round_cap", [1, 5, 40, 300])
+def test_dovetail_agrees_with_round_loop_on_fixtures(name, round_cap):
+    prog = load_program(name)
+    for k in (1, 3, 10, 40):
+        _assert_dovetail_agrees(prog, k, round_cap)
+
+
+_arith = st.recursive(
+    st.just("i") | st.integers(0, 12).map(str),
+    lambda inner: st.builds(
+        lambda a, op, b: f"({a} {op} {b})", inner, st.sampled_from(["+", "-", "*", "mod"]), inner
+    ),
+    max_leaves=5,
+)
+# Costs such as c - i reach 0 at some input: the first error must come
+# from the same input, in the same round, in both dovetailers.
+_cost = _arith | st.builds(lambda c, e: f"{c} - {e}", st.integers(1, 40), _arith)
+_guard = st.none() | st.builds(
+    lambda a, op, b: f"{a} {op} {b}", _arith, st.sampled_from(["==", "!=", "<", "<="]), _arith
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_arith, _cost, _guard, st.sampled_from([1, 3, 10, 40]), st.sampled_from([1, 5, 40, 300]))
+def test_dovetail_agrees_with_round_loop_on_generated(value, cost, guard, k, round_cap):
+    doc = {"name": "generated", "value": value, "cost": cost, "guard": guard}
+    _assert_dovetail_agrees(parse_program(json.dumps(doc)), k, round_cap)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eolab.expressions import (
+    MAX_DEPTH,
     CheckedOverflowError,
     EvaluationError,
     ExpressionSyntaxError,
@@ -113,6 +114,18 @@ def test_oversized_literal_rejected():
         parse_arith(str(2**64))
 
 
+def test_depth_limit_boundary():
+    nested = "(" * MAX_DEPTH + "i" + ")" * MAX_DEPTH
+    assert parse_arith(nested).evaluate(3) == 3
+    assert parse_arith("+".join(["i"] * MAX_DEPTH)).evaluate(2) == 2 * MAX_DEPTH
+    assert parse_guard(" or ".join(["i == 1"] * (MAX_DEPTH - 1))).evaluate(1)
+    for too_deep in ("(" + nested + ")", "+".join(["i"] * (MAX_DEPTH + 1))):
+        with pytest.raises(ExpressionSyntaxError):
+            parse_arith(too_deep)
+    with pytest.raises(ExpressionSyntaxError):
+        parse_guard(" or ".join(["i == 1"] * MAX_DEPTH))
+
+
 # --- parse_program --------------------------------------------------------
 
 
@@ -200,6 +213,28 @@ def test_dovetail_all_diverging_emits_nothing():
     assert trace.truncated and trace.emitted == ()
     with pytest.raises(InsufficientPrefixError):
         trace.as_prefix()
+
+
+@pytest.mark.parametrize(
+    "source,k,round_cap,halted,steps",
+    [
+        # Odd inputs cost 1 and halt when first tried.  Even input i is
+        # charged every round from max(1, i) to its halting round 10.
+        (STAGGERED, 10, 50, set(range(10)), 5 + 55 + 54 + 49 + 40 + 27),
+        # Round 10 stops after input 2: pending inputs 4, 6 and 8 last ran
+        # in round 9, so each is charged T(i, 9).
+        (STAGGERED, 7, 50, {0, 1, 2, 3, 5, 7, 9}, 5 + 55 + 54 + 39 + 30 + 17),
+        # Truncated: pending evens charged T(max(1, i), 5).
+        (STAGGERED, 10, 5, {1, 3, 5}, 3 + 15 + 14 + 9),
+        # Each odd input diverges when first tried, charged its round.
+        (GUARDED, 4, 100, {0, 2, 4, 6}, 4 + 1 + 3 + 5),
+        (GUARDED, 5, 3, {0, 2}, 2 + 1 + 3),
+    ],
+)
+def test_dovetail_steps_charged_by_hand(source, k, round_cap, halted, steps):
+    trace = dovetail(parse_program(source), k=k, round_cap=round_cap)
+    assert trace.halted_inputs == halted
+    assert trace.steps_charged == steps
 
 
 def test_dovetail_determinism():
