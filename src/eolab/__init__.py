@@ -27,7 +27,6 @@ from .poset import PatternPoset, build_poset, export, max_chain, sample_antichai
 from .search import (
     SearchBudget,
     WitnessReport,
-    compare_native,
     search_eo_witness,
     search_uniform_witness,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "apply_pattern",
     "ascents",
     "build_poset",
-    "compare_native",
     "dovetail",
     "eo_equiv",
     "eo_leq",

@@ -26,8 +26,8 @@ from .oracle import (
 from .patterns import (
     PREFIX_SCOPE_NOTE,
     ListingPrefix,
+    _first_violation,
     ascents,
-    eo_leq,
     pattern_of,
 )
 from .poset import (
@@ -43,7 +43,6 @@ from .search import (
     InsufficientEnumerationError,
     SearchBudget,
     WitnessReport,
-    _first_violation,
     search_eo_witness,
     search_uniform_witness,
 )
@@ -135,9 +134,8 @@ def _verdict(left_right: bool, right_left: bool) -> str:
 def _cmd_cmp(args) -> tuple[int, str]:
     left = pattern_of(ListingPrefix(_parse_naturals(args.left, "--left")))
     right = pattern_of(ListingPrefix(_parse_naturals(args.right, "--right")))
-    lr, rl = eo_leq(left, right), eo_leq(right, left)
-    vio_lr = None if lr else _first_violation(left, right)
-    vio_rl = None if rl else _first_violation(right, left)
+    vio_lr, vio_rl = _first_violation(left, right), _first_violation(right, left)
+    lr, rl = vio_lr is None, vio_rl is None
     if args.format == "json":
         doc = {
             "patternLeft": left.to_json(),
@@ -214,23 +212,8 @@ def _cmd_run(args) -> tuple[int, str]:
 
 
 def _witness_text(report: WitnessReport) -> str:
-    doc = report.to_json()
     lines = []
-    for key in (
-        "status",
-        "relation",
-        "k",
-        "w",
-        "choicesA",
-        "choicesB",
-        "prefixA",
-        "prefixB",
-        "patternA",
-        "patternB",
-        "nodesExplored",
-        "restriction",
-    ):
-        value = doc[key]
+    for key, value in report.to_json().items():
         if isinstance(value, list):
             value = _fmt_seq(value)
         elif value is None:

@@ -125,9 +125,9 @@ def _tokenize(source: str) -> list[_Token]:
             pos += 1
             continue
         start = pos + 1
-        if ch.isdigit():
+        if ch.isdecimal():  # not isdigit: int() rejects digits such as '²'
             end = pos
-            while end < n and source[end].isdigit():
+            while end < n and source[end].isdecimal():
                 end += 1
             tokens.append(_Token("nat", source[pos:end], start))
             pos = end
@@ -175,10 +175,11 @@ class _Parser:
     def factor(self) -> _ArithNode:
         tok = self.advance()
         if tok.kind == "nat":
-            value = int(tok.text)
-            if value > MAX_VALUE:
+            # Length first: int() refuses strings of more than 4,300 digits.
+            digits = tok.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_VALUE)) or int(digits) > MAX_VALUE:
                 raise ExpressionSyntaxError(f"literal {tok.text} exceeds 64 bits", tok.position)
-            return _Nat(value)
+            return _Nat(int(digits))
         if tok.kind == "ident":
             if tok.text == "i":
                 return _Var()

@@ -21,7 +21,7 @@ from typing import Iterable
 from . import patterns as fast
 from .expressions import EvaluationError
 from .poset import NoAntichainError, build_poset
-from .search import WitnessReport, native_traces
+from .search import SearchBudget, WitnessReport, native_traces
 from .vm import DovetailTrace, EnumeratorProgram
 
 
@@ -358,6 +358,29 @@ def _replay(native: tuple[int, ...], window: int, choices: tuple[int, ...]) -> t
     return tuple(out)
 
 
+def _report(status, relation, k, w, nodes, natives=(), found=None) -> WitnessReport:
+    # With ``found`` (both choice vectors), the witness's prefixes and
+    # patterns are replayed from the natives.
+    if found is None:
+        return WitnessReport(status, relation, k, w, nodes)
+    prefix_a, prefix_b = (
+        fast.ListingPrefix(_replay(native, w, choices)) for native, choices in zip(natives, found)
+    )
+    return WitnessReport(
+        status,
+        relation,
+        k,
+        w,
+        nodes,
+        choices_a=found[0],
+        choices_b=found[1],
+        prefix_a=prefix_a,
+        prefix_b=prefix_b,
+        pattern_a=fast.pattern_of(prefix_a),
+        pattern_b=fast.pattern_of(prefix_b),
+    )
+
+
 def brute_force_witness(
     prog_a: EnumeratorProgram,
     prog_b: EnumeratorProgram,
@@ -393,23 +416,115 @@ def brute_force_witness(
         for choices_b, prefix_b in side_b:
             examined += 1
             if holds(prefix_a, prefix_b):
-                return WitnessReport(
-                    status="witness_found",
-                    relation=relation,
-                    k=k,
-                    window=w,
-                    nodes_explored=examined,
-                    choices_a=choices_a,
-                    choices_b=choices_b,
-                    prefix_a=fast.ListingPrefix(prefix_a),
-                    prefix_b=fast.ListingPrefix(prefix_b),
-                    pattern_a=fast.pattern_of(prefix_a),
-                    pattern_b=fast.pattern_of(prefix_b),
-                )
-    return WitnessReport(
-        status="space_exhausted",
-        relation=relation,
-        k=k,
-        window=w,
-        nodes_explored=examined,
-    )
+                natives, found = (trace_a.emitted, trace_b.emitted), (choices_a, choices_b)
+                return _report("witness_found", relation, k, w, examined, natives, found)
+    return _report("space_exhausted", relation, k, w, examined)
+
+
+class _BudgetHit(Exception):
+    pass
+
+
+class _Searcher:
+    """Depth-first assignment of explicit scheduler choices.
+
+    One node = one placed choice (on either side).  Hitting max_nodes
+    aborts the whole search; an inconclusive run must never look like a
+    refutation.
+    """
+
+    def __init__(self, native_a, native_b, budget: SearchBudget, relation: str):
+        self.native_a = native_a
+        self.native_b = native_b
+        self.budget = budget
+        self.relation = relation
+        self.nodes = 0
+
+    def _tick(self) -> None:
+        if self.nodes >= self.budget.max_nodes:
+            raise _BudgetHit
+        self.nodes += 1
+
+    def _ok_so_far(self, prefix_a, prefix_b) -> bool:
+        t = len(prefix_b) - 1
+        b_t = prefix_b[t]
+        a_t = prefix_a[t]
+        if self.relation == "eo_leq":
+            for i in range(t):
+                if prefix_a[i] < a_t and not (prefix_b[i] < b_t):
+                    return False
+        else:
+            for i in range(t):
+                if (prefix_a[i] < a_t) != (prefix_b[i] < b_t):
+                    return False
+        return True
+
+    def _b_dfs(self, prefix_a, buffer, consumed, prefix_b, choices_b):
+        if len(prefix_b) == self.budget.k:
+            return tuple(choices_b)
+        refill = list(buffer)
+        used = consumed
+        while len(refill) < self.budget.window and used < len(self.native_b):
+            refill.append(self.native_b[used])
+            used += 1
+        for choice in range(len(refill)):
+            self._tick()
+            element = refill[choice]
+            prefix_b.append(element)
+            choices_b.append(choice)
+            if self._ok_so_far(prefix_a, prefix_b):
+                rest = refill[:choice] + refill[choice + 1 :]
+                found = self._b_dfs(prefix_a, rest, used, prefix_b, choices_b)
+                if found is not None:
+                    return found
+            prefix_b.pop()
+            choices_b.pop()
+        return None
+
+    def _a_dfs(self, buffer, consumed, prefix_a, choices_a):
+        if len(prefix_a) == self.budget.k:
+            found_b = self._b_dfs(prefix_a, [], 0, [], [])
+            if found_b is not None:
+                return tuple(choices_a), found_b
+            return None
+        refill = list(buffer)
+        used = consumed
+        while len(refill) < self.budget.window and used < len(self.native_a):
+            refill.append(self.native_a[used])
+            used += 1
+        for choice in range(len(refill)):
+            self._tick()
+            prefix_a.append(refill[choice])
+            choices_a.append(choice)
+            rest = refill[:choice] + refill[choice + 1 :]
+            found = self._a_dfs(rest, used, prefix_a, choices_a)
+            if found is not None:
+                return found
+            prefix_a.pop()
+            choices_a.pop()
+        return None
+
+    def run(self):
+        try:
+            return self._a_dfs([], 0, [], []), False
+        except _BudgetHit:
+            return None, True
+
+
+def recursive_witness_search(
+    prog_a: EnumeratorProgram,
+    prog_b: EnumeratorProgram,
+    budget: SearchBudget,
+    relation: str,
+) -> WitnessReport:
+    """The witness search as two recursive DFSs over rebuilt window
+    buffers; the node-count reference for ``search._walk``.  Its report
+    matches the search's field for field, ``nodes_explored`` included.
+    Recursion 2k deep, so keep k well below the recursion limit.
+    """
+    trace_a, trace_b = native_traces(prog_a, prog_b, budget.k, budget.round_cap)
+    searcher = _Searcher(trace_a.emitted, trace_b.emitted, budget, relation)
+    found, budget_hit = searcher.run()
+    status = "budget_exceeded" if budget_hit else "witness_found" if found else "space_exhausted"
+    natives = (trace_a.emitted, trace_b.emitted)
+    return _report(status, relation, budget.k, budget.window, searcher.nodes, natives, found)

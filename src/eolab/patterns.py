@@ -234,6 +234,17 @@ def eo_leq(p: OrderPattern, q: OrderPattern) -> bool:
     return p.ascent_mask & ~q.ascent_mask == 0
 
 
+def _first_violation(p: OrderPattern, q: OrderPattern) -> tuple[int, int] | None:
+    """Least index pair, in lexicographic order, that is an ascent of p but
+    an inversion of q; None exactly when p ≤eo q."""
+    _check_lengths(p, q)
+    diff = p.ascent_mask & ~q.ascent_mask
+    if not diff:
+        return None
+    # Row i of a mask starts at bit i * 8 * width (see ``ascent_mask``).
+    return divmod((diff & -diff).bit_length() - 1, 8 * ((len(p) + 7) // 8))
+
+
 def eo_lt(p: OrderPattern, q: OrderPattern) -> bool:
     """Strict variant of eo_leq: related and distinct."""
     return p != q and eo_leq(p, q)

@@ -8,12 +8,24 @@ k-element prefixes.  Within that family the search is complete — it
 either produces a replayable witness, refutes the whole (k, w) space, or
 runs out of node budget, and the three outcomes are never conflated.
 
-The searcher assigns the k choices for listing A depth-first in
-increasing order, and for each complete A-prefix assigns B's choices the
-same way, pruning as soon as some index pair violates the relation on
-the partial prefixes.  The first witness found is therefore the
-lexicographically least joint choice vector (A's choices first, then
-B's), which is also what the brute-force oracle returns.
+The search is one iterative depth-first walk over the joint choice
+vector: A's k choices, then B's k choices, each tried in increasing
+order, so the first witness found is the lexicographically least joint
+choice vector, which is also what the brute-force oracle returns.  A
+node is one candidate tried, on either side; hitting max_nodes stops the
+walk, since an inconclusive run must never look like a refutation.  The
+walk rests on two facts:
+
+- At output t the window buffer holds exactly the unused native indices
+  below min(t + w, k), in increasing order.  A choice is therefore the
+  rank of the picked index among them, and the walk keeps only a ``used``
+  array per side, never a buffer.
+- B's value x at output t keeps the relation with every earlier output
+  exactly when lo < x < hi.  Here lo is the largest earlier B value whose
+  A partner lies below A's output t, and hi (uniform only; infinite for
+  eo_leq) is the smallest earlier B value whose A partner lies above it.
+  The walk computes both once when it enters a depth, so each candidate
+  costs one comparison.
 """
 
 from __future__ import annotations
@@ -65,40 +77,6 @@ class SearchBudget:
 
 
 @dataclass(frozen=True)
-class NativeComparison:
-    """Relation verdicts between two native enumeration prefixes."""
-
-    status: str  # ok | insufficient_enumeration
-    k: int
-    program_a: str
-    program_b: str
-    truncated_programs: tuple[str, ...] = ()
-    pattern_a: OrderPattern | None = None
-    pattern_b: OrderPattern | None = None
-    leq_ab: bool | None = None
-    leq_ba: bool | None = None
-    uniform_ab: bool | None = None
-    violation_ab: tuple[int, int] | None = None
-    violation_ba: tuple[int, int] | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "k": self.k,
-            "programA": self.program_a,
-            "programB": self.program_b,
-            "truncated": list(self.truncated_programs),
-            "patternA": self.pattern_a.to_json() if self.pattern_a else None,
-            "patternB": self.pattern_b.to_json() if self.pattern_b else None,
-            "leqAB": self.leq_ab,
-            "leqBA": self.leq_ba,
-            "uniform": self.uniform_ab,
-            "violationAB": list(self.violation_ab) if self.violation_ab else None,
-            "violationBA": list(self.violation_ba) if self.violation_ba else None,
-        }
-
-
-@dataclass(frozen=True)
 class WitnessReport:
     """Outcome of a bounded witness search."""
 
@@ -139,16 +117,6 @@ class WitnessReport:
         }
 
 
-def _first_violation(p: OrderPattern, q: OrderPattern) -> tuple[int, int] | None:
-    """Least index pair that is an ascent of p but an inversion of q."""
-    n = len(p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if p.ranks[i] < p.ranks[j] and not (q.ranks[i] < q.ranks[j]):
-                return (i, j)
-    return None
-
-
 def native_traces(
     prog_a: EnumeratorProgram, prog_b: EnumeratorProgram, k: int, round_cap: int
 ) -> tuple[DovetailTrace, DovetailTrace]:
@@ -161,129 +129,65 @@ def native_traces(
     return trace_a, trace_b
 
 
-def compare_native(
-    prog_a: EnumeratorProgram, prog_b: EnumeratorProgram, k: int, round_cap: int
-) -> NativeComparison:
-    """Compare the two native listings on their first k values.
-
-    Truncation yields an in-band "insufficient_enumeration" outcome
-    rather than a relation verdict.
-    """
-    try:
-        trace_a, trace_b = native_traces(prog_a, prog_b, k, round_cap)
-    except InsufficientEnumerationError as exc:
-        return NativeComparison(
-            status="insufficient_enumeration",
-            k=k,
-            program_a=prog_a.name,
-            program_b=prog_b.name,
-            truncated_programs=exc.programs,
-        )
-    pat_a = pattern_of(trace_a.as_prefix())
-    pat_b = pattern_of(trace_b.as_prefix())
-    return NativeComparison(
-        status="ok",
-        k=k,
-        program_a=prog_a.name,
-        program_b=prog_b.name,
-        pattern_a=pat_a,
-        pattern_b=pat_b,
-        leq_ab=eo_leq(pat_a, pat_b),
-        leq_ba=eo_leq(pat_b, pat_a),
-        uniform_ab=uniform(pat_a, pat_b),
-        violation_ab=_first_violation(pat_a, pat_b),
-        violation_ba=_first_violation(pat_b, pat_a),
-    )
-
-
-class _BudgetHit(Exception):
-    pass
-
-
-class _Searcher:
-    """Depth-first assignment of explicit scheduler choices.
-
-    One node = one placed choice (on either side).  Hitting max_nodes
-    aborts the whole search; an inconclusive run must never look like a
-    refutation.
-    """
-
-    def __init__(self, native_a, native_b, budget: SearchBudget, relation: str):
-        self.native_a = native_a
-        self.native_b = native_b
-        self.budget = budget
-        self.relation = relation
-        self.nodes = 0
-
-    def _tick(self) -> None:
-        if self.nodes >= self.budget.max_nodes:
-            raise _BudgetHit
-        self.nodes += 1
-
-    def _ok_so_far(self, prefix_a, prefix_b) -> bool:
-        t = len(prefix_b) - 1
-        b_t = prefix_b[t]
-        a_t = prefix_a[t]
-        if self.relation == "eo_leq":
-            for i in range(t):
-                if prefix_a[i] < a_t and not (prefix_b[i] < b_t):
-                    return False
+def _walk(
+    native_a: tuple[int, ...], native_b: tuple[int, ...], budget: SearchBudget, relation: str
+) -> tuple[str, int, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """Depth-first walk over the joint choice vector: depth d < k places A's
+    output d, depth k + t places B's output t.  Returns the status, the
+    nodes explored and, with a witness, A's and B's choices."""
+    k, window, end = budget.k, budget.window, 2 * budget.k
+    # Per depth: the side's natives, its one array of used flags, and the
+    # bound on the native indices its buffer holds.
+    natives = [native_a] * k + [native_b] * k
+    used = [bytearray(k)] * k + [bytearray(k)] * k
+    limits = [min(t + window, k) for t in range(k)] * 2
+    pick = [-1] * end  # native index placed at each depth; -1 until entered
+    value = [0] * end
+    top = max(native_a + native_b) + 1  # above every value, where math.inf is slower
+    lo, hi = [-1] * end, [top] * end  # open interval per depth; A's stay open
+    max_nodes, nodes, d = budget.max_nodes, 0, 0
+    while 0 <= d < end:
+        native, taken, j = natives[d], used[d], pick[d]
+        if j >= 0:
+            taken[j] = 0
+        elif d >= k:
+            t = d - k
+            a_t, low, high = value[t], -1, top
+            for a, b in zip(value[:t], value[k:d]):
+                if a < a_t:
+                    if b > low:
+                        low = b
+                elif b < high and relation == "uniform":
+                    high = b
+            lo[d], hi[d] = low, high
+        # Candidates are the unused native indices below the limit, in order.
+        low, high, limit = lo[d], hi[d], limits[d]
+        j += 1
+        while j < limit:
+            if not taken[j]:
+                if nodes == max_nodes:
+                    return "budget_exceeded", nodes, None
+                nodes += 1
+                if low < native[j] < high:
+                    break
+            j += 1
         else:
-            for i in range(t):
-                if (prefix_a[i] < a_t) != (prefix_b[i] < b_t):
-                    return False
-        return True
-
-    def _b_dfs(self, prefix_a, buffer, consumed, prefix_b, choices_b):
-        if len(prefix_b) == self.budget.k:
-            return tuple(choices_b)
-        refill = list(buffer)
-        used = consumed
-        while len(refill) < self.budget.window and used < len(self.native_b):
-            refill.append(self.native_b[used])
-            used += 1
-        for choice in range(len(refill)):
-            self._tick()
-            element = refill[choice]
-            prefix_b.append(element)
-            choices_b.append(choice)
-            if self._ok_so_far(prefix_a, prefix_b):
-                rest = refill[:choice] + refill[choice + 1 :]
-                found = self._b_dfs(prefix_a, rest, used, prefix_b, choices_b)
-                if found is not None:
-                    return found
-            prefix_b.pop()
-            choices_b.pop()
-        return None
-
-    def _a_dfs(self, buffer, consumed, prefix_a, choices_a):
-        if len(prefix_a) == self.budget.k:
-            found_b = self._b_dfs(prefix_a, [], 0, [], [])
-            if found_b is not None:
-                return tuple(choices_a), found_b
-            return None
-        refill = list(buffer)
-        used = consumed
-        while len(refill) < self.budget.window and used < len(self.native_a):
-            refill.append(self.native_a[used])
-            used += 1
-        for choice in range(len(refill)):
-            self._tick()
-            prefix_a.append(refill[choice])
-            choices_a.append(choice)
-            rest = refill[:choice] + refill[choice + 1 :]
-            found = self._a_dfs(rest, used, prefix_a, choices_a)
-            if found is not None:
-                return found
-            prefix_a.pop()
-            choices_a.pop()
-        return None
-
-    def run(self):
-        try:
-            return self._a_dfs([], 0, [], []), False
-        except _BudgetHit:
-            return None, True
+            pick[d] = -1
+            d -= 1
+            continue
+        pick[d], taken[j], value[d] = j, 1, native[j]
+        d += 1
+    if d < 0:
+        return "space_exhausted", nodes, None
+    # A choice is the pick j's rank among the unused indices: j less the t
+    # used ones, plus those used between j and the limit (fewer than w).
+    choices = []
+    for picks in (pick[:k], pick[k:]):
+        taken = bytearray(k)
+        for t, j in enumerate(picks):
+            taken[j] = 1
+            choices.append(j - t + sum(taken[j + 1 : limits[t]]))
+    return "witness_found", nodes, (tuple(choices[:k]), tuple(choices[k:]))
 
 
 def _search(
@@ -295,47 +199,28 @@ def _search(
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
     trace_a, trace_b = native_traces(prog_a, prog_b, budget.k, budget.round_cap)
-    searcher = _Searcher(trace_a.emitted, trace_b.emitted, budget, relation)
-    found, budget_hit = searcher.run()
-    if budget_hit:
-        return WitnessReport(
-            status="budget_exceeded",
-            relation=relation,
-            k=budget.k,
-            window=budget.window,
-            nodes_explored=searcher.nodes,
+    status, nodes, found = _walk(trace_a.emitted, trace_b.emitted, budget, relation)
+    witness = {}
+    if found is not None:
+        # Replay through the scheduler and re-check through the pattern
+        # relations, so every emitted witness is certificate-sound.
+        choices_a, choices_b = found
+        prefix_a, prefix_b = (
+            schedule(trace.emitted, Scheduler("explicit", window=budget.window, choices=c), budget.k)
+            for trace, c in ((trace_a, choices_a), (trace_b, choices_b))
         )
-    if found is None:
-        return WitnessReport(
-            status="space_exhausted",
-            relation=relation,
-            k=budget.k,
-            window=budget.window,
-            nodes_explored=searcher.nodes,
+        pat_a, pat_b = pattern_of(prefix_a), pattern_of(prefix_b)
+        holds = eo_leq(pat_a, pat_b) if relation == "eo_leq" else uniform(pat_a, pat_b)
+        assert holds, "witness failed replay validation"
+        witness = dict(
+            choices_a=choices_a,
+            choices_b=choices_b,
+            prefix_a=prefix_a,
+            prefix_b=prefix_b,
+            pattern_a=pat_a,
+            pattern_b=pat_b,
         )
-    choices_a, choices_b = found
-    # Replay through the scheduler and re-check through the pattern
-    # relations, so every emitted witness is certificate-sound.
-    sched_a = Scheduler("explicit", window=budget.window, choices=choices_a)
-    sched_b = Scheduler("explicit", window=budget.window, choices=choices_b)
-    prefix_a = schedule(trace_a.emitted, sched_a, budget.k)
-    prefix_b = schedule(trace_b.emitted, sched_b, budget.k)
-    pat_a, pat_b = pattern_of(prefix_a), pattern_of(prefix_b)
-    holds = eo_leq(pat_a, pat_b) if relation == "eo_leq" else uniform(pat_a, pat_b)
-    assert holds, "witness failed replay validation"
-    return WitnessReport(
-        status="witness_found",
-        relation=relation,
-        k=budget.k,
-        window=budget.window,
-        nodes_explored=searcher.nodes,
-        choices_a=choices_a,
-        choices_b=choices_b,
-        prefix_a=prefix_a,
-        prefix_b=prefix_b,
-        pattern_a=pat_a,
-        pattern_b=pat_b,
-    )
+    return WitnessReport(status, relation, budget.k, budget.window, nodes, **witness)
 
 
 def search_eo_witness(

@@ -66,6 +66,8 @@ def parse_program(source: str) -> EnumeratorProgram:
         raise ProgramError(f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})")
     except RecursionError:
         raise ProgramError("invalid JSON: nested too deeply")
+    except ValueError:  # an integer of more digits than int() converts
+        raise ProgramError("invalid JSON: number has too many digits")
     if not isinstance(doc, dict):
         raise ProgramError("program document must be a JSON object")
     unknown = set(doc) - {"name", "value", "cost", "guard"}

@@ -405,6 +405,19 @@ def test_search_json_schema(capsys):
     assert doc["restriction"]
 
 
+@pytest.mark.parametrize("relation", ["eo", "uniform"])
+def test_search_deep_k_no_recursion_limit(capsys, relation):
+    # 2k = 1,200 depths: deeper than the default recursion limit.
+    code, out, err = invoke(
+        capsys, "search", "--a", prog("evens"), "--b", prog("evens"), "--k", "600",
+        "--window", "1", "--relation", relation, "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["status"] == "witness_found"
+    assert doc["nodesExplored"] == 1200
+
+
 # --- check -----------------------------------------------------------------------
 
 

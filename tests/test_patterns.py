@@ -18,6 +18,7 @@ from eolab.patterns import (
     LengthMismatchError,
     ListingPrefix,
     OrderPattern,
+    _first_violation,
     apply_pattern,
     ascents,
     eo_equiv,
@@ -41,6 +42,17 @@ def direct_leq(p, q):
             if p[i] < p[j] and not (q[i] < q[j]):
                 return False
     return True
+
+
+def direct_first_violation(p, q):
+    """Oracle: the least index pair ascending in p but not in q, by the
+    same double loop."""
+    n = len(p)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if p[i] < p[j] and not (q[i] < q[j]):
+                return (i, j)
+    return None
 
 
 def direct_uniform(p, q):
@@ -178,14 +190,15 @@ def test_eo_leq_related_pair_count_n3():
 def test_eo_leq_agrees_with_direct_oracle(n):
     for p, q in itertools.product(all_patterns(n), repeat=2):
         assert eo_leq(p, q) == direct_leq(p.ranks, q.ranks)
+        assert _first_violation(p, q) == direct_first_violation(p.ranks, q.ranks)
 
 
 @st.composite
-def pattern_pairs(draw):
-    """Two patterns of one length 1..64.  Half the time the second is the
+def pattern_pairs(draw, min_n=1, max_n=64):
+    """Two patterns of one length min_n..max_n.  Half the time the second is the
     first moved down by random adjacent-value swaps, each adding an
     inversion, so the pair is comparable; random pairs almost never are."""
-    n = draw(st.integers(min_value=1, max_value=64))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     upper = draw(st.permutations(range(n)))
     if draw(st.booleans()):
         return OrderPattern(tuple(upper)), OrderPattern(tuple(draw(st.permutations(range(n)))))
@@ -204,6 +217,14 @@ def test_eo_leq_agrees_with_oracle_on_long_patterns(pair):
     p, q = pair
     assert eo_leq(p, q) == _direct_leq(p.ranks, q.ranks)
     assert eo_leq(q, p) == _direct_leq(q.ranks, p.ranks)
+
+
+@given(pattern_pairs(min_n=9, max_n=70))
+def test_first_violation_agrees_with_double_loop(pair):
+    # Above length 8 each mask row spans several bytes.
+    p, q = pair
+    assert _first_violation(p, q) == direct_first_violation(p.ranks, q.ranks)
+    assert _first_violation(q, p) == direct_first_violation(q.ranks, p.ranks)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

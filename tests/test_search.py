@@ -5,13 +5,16 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eolab.oracle import _Searcher, recursive_witness_search
 from eolab.patterns import eo_leq, pattern_of, uniform
 from eolab.search import (
+    RELATIONS,
     RESTRICTION_NOTE,
     InsufficientEnumerationError,
     SearchBudget,
-    compare_native,
+    _walk,
     search_eo_witness,
     search_uniform_witness,
 )
@@ -22,37 +25,6 @@ from conftest import load_program, program_pairs
 
 def budget(k, w, max_nodes=200_000, round_cap=1_000):
     return SearchBudget(k=k, window=w, max_nodes=max_nodes, round_cap=round_cap)
-
-
-# --- compare_native -------------------------------------------------------
-
-
-def test_compare_native_identical_programs():
-    evens = load_program("evens")
-    summary = compare_native(evens, evens, k=5, round_cap=100)
-    assert summary.status == "ok"
-    assert summary.uniform_ab and summary.leq_ab and summary.leq_ba
-    assert summary.violation_ab is None
-
-
-def test_compare_native_one_direction():
-    evens = load_program("evens")  # native pattern: identity
-    alternating = load_program("alternating")  # native pattern: 1,0,2,3,...
-    summary = compare_native(evens, alternating, k=4, round_cap=100)
-    assert summary.pattern_a.ranks == (0, 1, 2, 3)
-    assert summary.pattern_b.ranks == (1, 0, 2, 3)
-    assert not summary.leq_ab and summary.leq_ba
-    assert not summary.uniform_ab
-    assert summary.violation_ab == (0, 1)
-    assert summary.violation_ba is None
-
-
-def test_compare_native_insufficient_enumeration():
-    guarded = load_program("evens_only")
-    summary = compare_native(guarded, guarded, k=10, round_cap=5)
-    assert summary.status == "insufficient_enumeration"
-    assert summary.truncated_programs == ("evens_only", "evens_only")
-    assert summary.pattern_a is None
 
 
 # --- trivial and forced outcomes ------------------------------------------
@@ -216,3 +188,38 @@ def test_search_agrees_with_brute_force_small(pair, relation):
             assert pruned.choices_b == brute.choices_b, (k, w)
             assert pruned.prefix_a == brute.prefix_a
             assert pruned.prefix_b == brute.prefix_b
+
+
+# --- agreement with the recursive reference ---------------------------------
+
+
+@pytest.mark.parametrize("pair", program_pairs(), ids=lambda p: p[0].name + "-" + p[1].name)
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_search_report_matches_recursive_reference(pair, relation):
+    # Whole reports: status, choices, prefixes and nodesExplored, including
+    # where the budget cuts the walk off.
+    prog_a, prog_b = pair
+    search = search_eo_witness if relation == "eo_leq" else search_uniform_witness
+    for k, w, max_nodes in itertools.product(range(1, 9), range(1, 5), (1, 7, 50, 200_000)):
+        b = budget(k=k, w=w, max_nodes=max_nodes)
+        assert search(prog_a, prog_b, b) == recursive_witness_search(
+            prog_a, prog_b, b, relation
+        ), (k, w, max_nodes)
+
+
+@st.composite
+def walk_cases(draw):
+    k = draw(st.integers(1, 8))
+    natives = st.lists(st.integers(0, 3 * k), min_size=k, max_size=k, unique=True).map(tuple)
+    b = SearchBudget(k=k, window=draw(st.integers(1, 5)), max_nodes=draw(st.integers(1, 5_000)))
+    return draw(natives), draw(natives), b, draw(st.sampled_from(RELATIONS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases())
+def test_walk_matches_recursive_reference_on_generated_natives(case):
+    native_a, native_b, b, relation = case
+    searcher = _Searcher(native_a, native_b, b, relation)
+    found, budget_hit = searcher.run()
+    status = "budget_exceeded" if budget_hit else "witness_found" if found else "space_exhausted"
+    assert _walk(native_a, native_b, b, relation) == (status, searcher.nodes, found)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eolab.expressions import (
     MAX_DEPTH,
     CheckedOverflowError,
     EvaluationError,
+    ExpressionError,
     ExpressionSyntaxError,
     GuardTypeError,
     UnknownIdentifierError,
@@ -164,6 +167,48 @@ def test_parse_program_unknown_identifier():
 def test_parse_program_rejects_malformed(source):
     with pytest.raises(ProgramError):
         parse_program(source)
+
+
+# --- fuzzing: only documented errors ---------------------------------------
+
+_TOKENS = ["i", "0", "7", "18446744073709551616", "+", "-", "*", "mod", "(", ")", "==",
+           "!=", "<", "<=", "=", "!", "and", "or", "j", "_", "²", " "]
+_sources = st.text(max_size=60) | st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _sources,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_documents = st.dictionaries(
+    st.sampled_from(["name", "value", "cost", "guard", "extra"]), _json, max_size=5
+) | st.fixed_dictionaries(
+    {"name": st.sampled_from(["p", "x_1", "", "a b"]), "value": _sources, "cost": _sources},
+    optional={"guard": st.none() | _sources},
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sources)
+@example("²")
+@example("1" * 5000)
+@example("0" * 5000 + "1")
+def test_expression_parsers_raise_only_expression_errors(source):
+    for parse in (parse_arith, parse_guard):
+        try:
+            parse(source)
+        except ExpressionError:
+            pass
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.text(max_size=80) | _json.map(json.dumps) | _documents.map(json.dumps))
+@example("1" * 5000)
+@example('{"name":"x","value":"i","cost":"2 * ²"}')
+def test_parse_program_raises_only_documented_errors(source):
+    try:
+        parse_program(source)
+    except (ProgramError, ExpressionError):
+        pass
 
 
 # --- dovetail -------------------------------------------------------------
