@@ -2,9 +2,9 @@
 
 Exit codes: 0 success or witness found, 1 oracle suite failure, 2 usage
 or parse error, 3 space exhausted / antichain unavailable, 4 enumeration
-insufficient or arithmetic overflow, 5 node budget exceeded.  Output
-goes to stdout, diagnostics to stderr; identical invocations produce
-byte-identical output.
+insufficient or arithmetic overflow, 5 node budget exceeded, 6 internal
+error (a bug: any other exception).  Output goes to stdout, diagnostics
+to stderr; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ EXIT_USAGE = 2
 EXIT_UNAVAILABLE = 3
 EXIT_ENUMERATION = 4
 EXIT_BUDGET = 5
+EXIT_INTERNAL = 6
 
 _SEARCH_EXITS = {
     "witness_found": EXIT_OK,
@@ -233,6 +234,8 @@ def _cmd_search(args) -> tuple[int, str]:
     )
     search = search_eo_witness if args.relation == "eo" else search_uniform_witness
     report = search(prog_a, prog_b, budget)
+    if args.stats:
+        sys.stderr.write(_dump_json(report.stats))
     text = _dump_json(report.to_json()) if args.format == "json" else _witness_text(report)
     return _SEARCH_EXITS[report.status], text
 
@@ -330,6 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--relation", choices=["eo", "uniform"], default="eo")
     p_search.add_argument("--max-nodes", type=int, default=100_000, dest="max_nodes")
     p_search.add_argument("--round-cap", type=int, default=1000, dest="round_cap")
+    p_search.add_argument(
+        "--stats", action="store_true", help="print the search's counters as JSON on stderr"
+    )
     p_search.set_defaults(handler=_cmd_search)
 
     p_check = sub.add_parser(
@@ -364,6 +370,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, ExpressionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug; never exit 1, which means a suite failed
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     sys.stdout.write(output)
     return code
 

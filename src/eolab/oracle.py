@@ -22,7 +22,15 @@ from . import patterns as fast
 from .expressions import EvaluationError
 from .poset import NoAntichainError, build_poset
 from .search import SearchBudget, WitnessReport, native_traces
-from .vm import DovetailTrace, EnumeratorProgram
+from .vm import (
+    ChoiceError,
+    DovetailTrace,
+    EnumeratorProgram,
+    InsufficientPrefixError,
+    NativeSource,
+    Scheduler,
+    _native_elements,
+)
 
 
 class OracleCapError(ValueError):
@@ -344,18 +352,45 @@ def brute_force_dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> Dov
     )
 
 
-def _replay(native: tuple[int, ...], window: int, choices: tuple[int, ...]) -> tuple[int, ...]:
-    # Minimal re-statement of the window scheduler, kept local so the
-    # oracle does not lean on the module it validates.
+def brute_force_schedule(source: NativeSource, sched: Scheduler, k: int) -> fast.ListingPrefix:
+    """The window scheduler, literally: refill the buffer to the window in
+    arrival order, then pop the head, the first minimum, the first
+    maximum or the chosen slot.  O(k * w); the reference for
+    ``vm.schedule``.
+    """
+    native = _native_elements(source)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > len(native):
+        raise InsufficientPrefixError(
+            f"native prefix has {len(native)} elements, cannot supply {k} outputs"
+        )
     buffer: list[int] = []
-    used = 0
+    consumed = 0
     out: list[int] = []
-    for choice in choices:
-        while len(buffer) < window and used < len(native):
-            buffer.append(native[used])
-            used += 1
-        out.append(buffer.pop(choice))
-    return tuple(out)
+    for t in range(1, k + 1):
+        while len(buffer) < sched.window and consumed < len(native):
+            buffer.append(native[consumed])
+            consumed += 1
+        if sched.kind == "native":
+            idx = 0
+        elif sched.kind == "min_first":
+            idx = buffer.index(min(buffer))
+        elif sched.kind == "max_first":
+            idx = buffer.index(max(buffer))
+        else:
+            if t - 1 >= len(sched.choices):
+                raise ChoiceError(t, "no choice supplied")
+            idx = sched.choices[t - 1]
+            if idx >= len(buffer):
+                raise ChoiceError(t, f"choice {idx} out of range for buffer of size {len(buffer)}")
+        out.append(buffer.pop(idx))
+    return fast.ListingPrefix(tuple(out))
+
+
+def _replay(native: tuple[int, ...], window: int, choices: tuple[int, ...]) -> tuple[int, ...]:
+    sched = Scheduler("explicit", window=window, choices=choices)
+    return brute_force_schedule(native, sched, len(choices)).elements
 
 
 def _report(status, relation, k, w, nodes, natives=(), found=None) -> WitnessReport:

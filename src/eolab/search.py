@@ -8,29 +8,44 @@ k-element prefixes.  Within that family the search is complete — it
 either produces a replayable witness, refutes the whole (k, w) space, or
 runs out of node budget, and the three outcomes are never conflated.
 
-The search is one iterative depth-first walk over the joint choice
-vector: A's k choices, then B's k choices, each tried in increasing
-order, so the first witness found is the lexicographically least joint
-choice vector, which is also what the brute-force oracle returns.  A
-node is one candidate tried, on either side; hitting max_nodes stops the
-walk, since an inconclusive run must never look like a refutation.  The
-walk rests on two facts:
+The search explores the joint choice vector, A's k choices and then B's
+k choices, each tried in increasing order, so the first witness found is
+the lexicographically least joint choice vector, which is also what the
+brute-force oracle returns.  ``nodesExplored`` counts the candidates that
+literal depth-first walk tries, on either side; hitting max_nodes stops
+the search, since an inconclusive run must never look like a refutation.
+The search reports exactly that walk's outcome and count without walking
+B once per complete A prefix.  It rests on these facts:
 
 - At output t the window buffer holds exactly the unused native indices
-  below min(t + w, k), in increasing order.  A choice is therefore the
-  rank of the picked index among them, and the walk keeps only a ``used``
-  array per side, never a buffer.
+  below min(t + w, k), in increasing order, so every node at depth t has
+  c_t = min(t + w, k) - t candidates, and on A's side every candidate is
+  taken.  A choice is the rank of the picked index among them.
 - B's value x at output t keeps the relation with every earlier output
   exactly when lo < x < hi.  Here lo is the largest earlier B value whose
   A partner lies below A's output t, and hi (uniform only; infinite for
   eo_leq) is the smallest earlier B value whose A partner lies above it.
-  The walk computes both once when it enters a depth, so each candidate
-  costs one comparison.
+  Only A's first t + 1 outputs enter that test.
+- So the walk is a depth-first walk over A's choice trie alone.  An A
+  node at depth t carries B's frontier F_t, the B prefixes of length t
+  still valid against A's first t outputs; sibling A nodes share it, and
+  the literal walk spends sum over t of |F_t| * c_t B nodes on each leaf.
+  Frontiers are filled depth-first along A's first choices, so finding
+  a leaf that holds a witness costs about what walking it literally
+  does, however large its frontiers would grow.  They hold at most one
+  B prefix per B test, so never more than max_nodes prefixes.
+- Once a frontier is empty, no leaf below holds a witness and each costs
+  the same B nodes; the subtree's A nodes and leaves depend on its depth
+  only, so it is counted in closed form.
+- One leaf at most is walked literally, starting from the exact count:
+  the first whose frontier reaches depth k (it holds the witness), or the
+  first whose walk would pass max_nodes, checked before its frontier is
+  filled any further, so the frontier work stays within the budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .patterns import ListingPrefix, OrderPattern, eo_leq, pattern_of, uniform
 from .vm import DovetailTrace, EnumeratorProgram, Scheduler, dovetail, schedule
@@ -91,6 +106,9 @@ class WitnessReport:
     prefix_b: ListingPrefix | None = None
     pattern_a: OrderPattern | None = None
     pattern_b: OrderPattern | None = None
+    #: Deterministic counters of the walk (see ``_walk``); not part of
+    #: the outcome, so left out of equality and of ``to_json``.
+    stats: dict | None = field(default=None, compare=False, repr=False)
 
     def witness_schedulers(self) -> tuple[Scheduler, Scheduler]:
         if self.status != "witness_found":
@@ -130,64 +148,222 @@ def native_traces(
 
 
 def _walk(
-    native_a: tuple[int, ...], native_b: tuple[int, ...], budget: SearchBudget, relation: str
+    native_a: tuple[int, ...],
+    native_b: tuple[int, ...],
+    budget: SearchBudget,
+    relation: str,
+    *,
+    stats: dict | None = None,
 ) -> tuple[str, int, tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """Depth-first walk over the joint choice vector: depth d < k places A's
-    output d, depth k + t places B's output t.  Returns the status, the
-    nodes explored and, with a witness, A's and B's choices."""
-    k, window, end = budget.k, budget.window, 2 * budget.k
-    # Per depth: the side's natives, its one array of used flags, and the
-    # bound on the native indices its buffer holds.
-    natives = [native_a] * k + [native_b] * k
-    used = [bytearray(k)] * k + [bytearray(k)] * k
-    limits = [min(t + window, k) for t in range(k)] * 2
-    pick = [-1] * end  # native index placed at each depth; -1 until entered
-    value = [0] * end
-    top = max(native_a + native_b) + 1  # above every value, where math.inf is slower
-    lo, hi = [-1] * end, [top] * end  # open interval per depth; A's stay open
-    max_nodes, nodes, d = budget.max_nodes, 0, 0
-    while 0 <= d < end:
-        native, taken, j = natives[d], used[d], pick[d]
+    """Depth-first walk over A's choice trie, carrying B's frontier.
+
+    Returns the status, the nodes the joint walk explores (A's candidates
+    and, for every complete A prefix, B's) and, with a witness, A's and
+    B's choices.  A dict passed as ``stats`` receives the counters:
+    ``nodesExplored``; ``bTests``, the B candidates tested while filling
+    frontiers or walking the one literal leaf; ``aNodes``, the A nodes
+    placed one by one; ``closedFormSubtrees``, the A subtrees (single
+    leaves included) counted in closed form; and ``literalLeafWalk``.
+    """
+    k, max_nodes = budget.k, budget.max_nodes
+    limits = [min(t + budget.window, k) for t in range(k)]
+    widths = [limit - t for t, limit in enumerate(limits)]
+    # Nodes and leaves of the A subtree below each depth, saturated one
+    # above the budget, past which only "too many" matters.
+    cap = max_nodes + 1
+    below, leaves = [0] * (k + 1), [1] * (k + 1)
+    for t in range(k - 1, -1, -1):
+        below[t] = min(cap, widths[t] * (1 + below[t + 1]))
+        leaves[t] = min(cap, widths[t] * leaves[t + 1])
+    incoming = [(native_b[limit],) if limit < k else () for limit in limits]
+    top = max(native_a + native_b) + 1  # above every value
+    # A frontier element is (B's buffer at its depth, B's last value, parent).
+    frontiers = [[(tuple(native_b[: limits[0]]), None, None)]] + [[] for _ in range(k - 1)]
+    partial = [0] * (k + 1)  # B nodes each leaf below a depth spends above it
+    pick, value, used = [-1] * k, [0] * k, bytearray(k)
+    # B values above the element being expanded; slots k and k + 1 hold
+    # -1 and top, so a missing bound is one more index.
+    bvalue = [0] * k + [-1, top]
+    tally = {"aNodes": 0, "bTests": 0, "closedFormSubtrees": 0, "literalLeafWalk": False}
+
+    def bounds(u: int) -> tuple[tuple[int, ...], int, int]:
+        # The earlier outputs whose B values bound B's output u: the
+        # largest of the first group from below, the second from above;
+        # then the earliest output they reach back to.
+        a_u = value[u]
+        if relation == "eo_leq":
+            # Each s with a_s < a_u, less those with a later s' and
+            # a_s < a_s' < a_u: a valid B prefix already has b_s < b_s'.
+            lows, best = [], -1
+            for s in range(u - 1, -1, -1):
+                if best < value[s] < a_u:
+                    lows.append(s)
+                    best = value[s]
+            return tuple(lows) or (k,), k + 1, lows[-1] if lows else k
+        # uniform: B's prefix is ordered like A's, so A's value
+        # neighbours of a_u carry both bounds.
+        pred, succ, lo, hi = k, k + 1, -1, top
+        for s in range(u):
+            if lo < value[s] < a_u:
+                lo, pred = value[s], s
+            elif a_u < value[s] < hi:
+                hi, succ = value[s], s
+        return (pred,), succ, min(pred, succ)
+
+    def fill(d: int) -> int | None:
+        # Refill frontiers d+1.. depth-first along A's first choices
+        # below depth d.  Returns the shallowest depth whose frontier is
+        # empty, or None when that leaf holds a witness or its walk
+        # would pass the budget.
+        for u in range(d + 1, k):
+            frontiers[u] = []
+        room = max_nodes - count - (k - d - 1) - partial[d]
+        spent, marks, empty = 0, [None] * k, None
+        stack = [(e, d) for e in reversed(frontiers[d])]
+        while stack:
+            e, u = stack.pop()
+            if spent + widths[u] > room:
+                break
+            spent += widths[u]
+            buf = e[0]
+            if u > d:
+                bvalue[u - 1] = e[1]
+            else:  # B's values above depth d come from e's parents, on demand
+                node, s = e, d - 1
+            if marks[u] is None:
+                marks[u] = bounds(u)
+            lows, high, need = marks[u]
+            while s >= need:
+                bvalue[s], node, s = node[1], node[2], s - 1
+            lo, hi = max(map(bvalue.__getitem__, lows)), bvalue[high]
+            if u + 1 == k:  # one candidate left: does it complete a witness?
+                if lo < buf[0] < hi:
+                    break
+                continue
+            inc = incoming[u]
+            kids = [(buf[:i] + buf[i + 1 :] + inc, y, e) for i, y in enumerate(buf) if lo < y < hi]
+            frontiers[u + 1] += kids
+            stack += zip(reversed(kids), [u + 1] * len(kids))
+        else:
+            for empty in range(d + 1, k + 1):
+                partial[empty] = partial[empty - 1] + len(frontiers[empty - 1]) * widths[empty - 1]
+                if empty == k or not frontiers[empty]:
+                    break
+        tally["bTests"] += spent
+        return empty
+
+    def finish(status, nodes, found=None):
+        if stats is not None:
+            stats.update(tally, nodesExplored=nodes)
+        return status, nodes, found
+
+    count, d = 0, 0
+    while d >= 0:
+        j = pick[d]
         if j >= 0:
-            taken[j] = 0
-        elif d >= k:
-            t = d - k
-            a_t, low, high = value[t], -1, top
-            for a, b in zip(value[:t], value[k:d]):
+            used[j] = 0
+        j = used.find(0, j + 1, limits[d])
+        if j < 0:
+            pick[d] = -1
+            d -= 1
+            continue
+        if count == max_nodes:
+            return finish("budget_exceeded", count)
+        count += 1
+        pick[d], used[j], value[d] = j, 1, native_a[j]
+        j = -1
+        for u in range(d + 1, k):  # A's first choices below: the lowest unused
+            j = used.find(0, j + 1, limits[u])
+            pick[u], used[j], value[u] = j, 1, native_a[j]
+        s = fill(d)
+        if s is None:
+            # The first leaf below decides the search: walk B literally.
+            count += k - d - 1
+            tally["aNodes"] += k - d
+            tally["literalLeafWalk"] = True
+            if count > max_nodes:
+                return finish("budget_exceeded", max_nodes)
+            nodes, picks_b = _leaf_walk(value, native_b, limits, relation, count, max_nodes)
+            tally["bTests"] += nodes - count
+            if picks_b is None:
+                return finish("budget_exceeded", nodes)
+            return finish("witness_found", nodes, (_ranks(pick, limits), _ranks(picks_b, limits)))
+        # The path's A nodes down to depth s, then s's subtree, every
+        # leaf of which spends partial[s] B nodes and finds nothing.
+        added = s - d - 1 + below[s] + leaves[s] * partial[s]
+        if count + added > max_nodes:
+            return finish("budget_exceeded", max_nodes)
+        count += added
+        tally["aNodes"] += s - d
+        tally["closedFormSubtrees"] += 1
+        for u in range(s, k):
+            used[pick[u]] = 0
+            pick[u] = -1
+        d = s - 1
+    return finish("space_exhausted", count)
+
+
+def _leaf_walk(
+    value_a: list[int],
+    native_b: tuple[int, ...],
+    limits: list[int],
+    relation: str,
+    nodes: int,
+    max_nodes: int,
+) -> tuple[int, list[int] | None]:
+    """B's half of the joint walk for one complete A prefix, counting on
+    from ``nodes``.  Returns the nodes explored and B's picks, or None
+    when the budget ran out.  Only called on a leaf that holds a witness
+    or whose walk passes the budget."""
+    k = len(value_a)
+    top = max(value_a + list(native_b)) + 1
+    pick, value, used = [-1] * k, [0] * k, bytearray(k)
+    lo, hi = [-1] * k, [top] * k
+    t = 0
+    while 0 <= t < k:
+        j = pick[t]
+        if j >= 0:
+            used[j] = 0
+        else:
+            # B's value at t keeps the relation exactly when lo < b < hi.
+            a_t, low, high = value_a[t], -1, top
+            for a, b in zip(value_a[:t], value[:t]):
                 if a < a_t:
                     if b > low:
                         low = b
                 elif b < high and relation == "uniform":
                     high = b
-            lo[d], hi[d] = low, high
+            lo[t], hi[t] = low, high
         # Candidates are the unused native indices below the limit, in order.
-        low, high, limit = lo[d], hi[d], limits[d]
+        low, high, limit = lo[t], hi[t], limits[t]
         j += 1
         while j < limit:
-            if not taken[j]:
+            if not used[j]:
                 if nodes == max_nodes:
-                    return "budget_exceeded", nodes, None
+                    return nodes, None
                 nodes += 1
-                if low < native[j] < high:
+                if low < native_b[j] < high:
                     break
             j += 1
         else:
-            pick[d] = -1
-            d -= 1
+            pick[t] = -1
+            t -= 1
             continue
-        pick[d], taken[j], value[d] = j, 1, native[j]
-        d += 1
-    if d < 0:
-        return "space_exhausted", nodes, None
-    # A choice is the pick j's rank among the unused indices: j less the t
-    # used ones, plus those used between j and the limit (fewer than w).
-    choices = []
-    for picks in (pick[:k], pick[k:]):
-        taken = bytearray(k)
-        for t, j in enumerate(picks):
-            taken[j] = 1
-            choices.append(j - t + sum(taken[j + 1 : limits[t]]))
-    return "witness_found", nodes, (tuple(choices[:k]), tuple(choices[k:]))
+        pick[t], used[j], value[t] = j, 1, native_b[j]
+        t += 1
+    if t < 0:
+        raise AssertionError("leaf walked to the end without a witness")
+    return nodes, pick
+
+
+def _ranks(picks: list[int], limits: list[int]) -> tuple[int, ...]:
+    # A choice is the pick j's rank among the unused indices: j less the
+    # t used ones, plus those used between j and the limit (fewer than w).
+    taken, choices = bytearray(len(picks)), []
+    for t, j in enumerate(picks):
+        taken[j] = 1
+        choices.append(j - t + sum(taken[j + 1 : limits[t]]))
+    return tuple(choices)
 
 
 def _search(
@@ -199,7 +375,8 @@ def _search(
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
     trace_a, trace_b = native_traces(prog_a, prog_b, budget.k, budget.round_cap)
-    status, nodes, found = _walk(trace_a.emitted, trace_b.emitted, budget, relation)
+    stats: dict = {}
+    status, nodes, found = _walk(trace_a.emitted, trace_b.emitted, budget, relation, stats=stats)
     witness = {}
     if found is not None:
         # Replay through the scheduler and re-check through the pattern
@@ -220,7 +397,7 @@ def _search(
             pattern_a=pat_a,
             pattern_b=pat_b,
         )
-    return WitnessReport(status, relation, budget.k, budget.window, nodes, **witness)
+    return WitnessReport(status, relation, budget.k, budget.window, nodes, **witness, stats=stats)
 
 
 def search_eo_witness(

@@ -16,6 +16,7 @@ which buffered element to emit next.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from itertools import chain
@@ -225,7 +226,13 @@ def _native_elements(source: NativeSource) -> tuple[int, ...]:
 
 
 def schedule(source: NativeSource, sched: Scheduler, k: int) -> ListingPrefix:
-    """Emit the first k elements of the rescheduled enumeration."""
+    """Emit the first k elements of the rescheduled enumeration.
+
+    min_first and max_first keep the buffer as a heap keyed on (value,
+    arrival), resp. (-value, arrival), so ties go to the element that
+    arrived first, and run in O(k log w).  The literal buffer loop is
+    ``oracle.brute_force_schedule``.
+    """
     native = _native_elements(source)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -233,24 +240,29 @@ def schedule(source: NativeSource, sched: Scheduler, k: int) -> ListingPrefix:
         raise InsufficientPrefixError(
             f"native prefix has {len(native)} elements, cannot supply {k} outputs"
         )
-    buffer: list[int] = []
-    consumed = 0
-    out: list[int] = []
-    for t in range(1, k + 1):
-        while len(buffer) < sched.window and consumed < len(native):
-            buffer.append(native[consumed])
-            consumed += 1
-        if sched.kind == "native":
-            idx = 0
-        elif sched.kind == "min_first":
-            idx = buffer.index(min(buffer))
-        elif sched.kind == "max_first":
-            idx = buffer.index(max(buffer))
-        else:
-            if t - 1 >= len(sched.choices):
-                raise ChoiceError(t, "no choice supplied")
-            idx = sched.choices[t - 1]
-            if idx >= len(buffer):
-                raise ChoiceError(t, f"choice {idx} out of range for buffer of size {len(buffer)}")
+    window = sched.window
+    if sched.kind == "native":
+        return ListingPrefix(native[:k])
+    if sched.kind != "explicit":
+        sign = 1 if sched.kind == "min_first" else -1
+        heap = [(sign * v, i) for i, v in enumerate(native[:window])]
+        heapq.heapify(heap)
+        out = []
+        for i in range(window, window + k):
+            out.append(native[heap[0][1]])
+            if i < len(native):
+                heapq.heapreplace(heap, (sign * native[i], i))
+            else:
+                heapq.heappop(heap)
+        return ListingPrefix(tuple(out))
+    buffer = list(native[:window])
+    out = []
+    for t, idx in enumerate(sched.choices[:k], start=1):
+        if idx >= len(buffer):
+            raise ChoiceError(t, f"choice {idx} out of range for buffer of size {len(buffer)}")
         out.append(buffer.pop(idx))
+        if t + window <= len(native):
+            buffer.append(native[t + window - 1])
+    if len(out) < k:
+        raise ChoiceError(len(out) + 1, "no choice supplied")
     return ListingPrefix(tuple(out))

@@ -231,6 +231,35 @@ def test_run_round_cap_100000_is_cheap():
     assert doc["emitted"] == list(range(0, 100_001, 2))
 
 
+def test_run_min_first_window_20000_is_cheap():
+    # The buffer is a heap: O(k log w), where a scan of the whole buffer
+    # per output took 5.4 s here.
+    start = time.monotonic()
+    proc = eolab(
+        "run", "--program", str(PROGRAMS / "evens.json"), "--k", "20000",
+        "--round-cap", "100000", "--schedule", "min_first", "--window", "20000",
+        "--format", "json",
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0
+    assert elapsed < 2.0
+    assert json.loads(proc.stdout)["emitted"] == list(range(0, 40_000, 2))
+
+
+def test_search_k10_w3_exhausts_quickly():
+    # Rising against falling natives: B's frontier is shared across A's
+    # reorderings and dead subtrees are counted in closed form.
+    evens, countdown = load_program("evens"), load_program("countdown")
+    budget = SearchBudget(k=10, window=3, max_nodes=1_000_000)
+    start = time.monotonic()
+    eo = search_eo_witness(evens, countdown, budget)
+    uni = search_uniform_witness(evens, countdown, budget)
+    elapsed = time.monotonic() - start
+    assert (eo.status, eo.nodes_explored) == ("space_exhausted", 668_532)
+    assert (uni.status, uni.nodes_explored) == ("space_exhausted", 537_636)
+    assert elapsed < 0.25
+
+
 def test_criterion_10_scheduler_window_invariant():
     with criterion(10, "window locality on the committed scheduler corpus"):
         entries = json.loads(

@@ -467,6 +467,41 @@ def test_unknown_flag_exit_2(capsys):
     assert main(["pattern", "1,2", "--bogus"]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_search_stats_leave_stdout_alone(capsys, fmt):
+    argv = ["search", "--a", prog("evens"), "--b", prog("countdown"), "--k", "7",
+            "--window", "3", "--max-nodes", "1000000", "--format", fmt]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (3, "")
+    code_stats, out_stats, err_stats = invoke(capsys, *argv, "--stats")
+    assert (code_stats, out_stats) == (code, out)
+    assert err_stats.count("\n") == 1
+    assert json.loads(err_stats) == {
+        "nodesExplored": 24_595,
+        "bTests": 3_478,
+        "aNodes": 317,
+        "closedFormSubtrees": 202,
+        "literalLeafWalk": False,
+    }
+
+
+def test_search_stats_literal_leaf_on_witness(capsys):
+    _, _, err = invoke(capsys, "search", "--a", prog("evens"), "--b", prog("evens"),
+                       "--k", "4", "--window", "2", "--stats")
+    stats = json.loads(err)
+    assert stats["literalLeafWalk"] and stats["nodesExplored"] == 8
+
+
+def test_unexpected_exception_exit_6(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("eolab.cli._cmd_pattern", broken)
+    code, out, err = invoke(capsys, "pattern", "5,2,9")
+    assert (code, out) == (6, "")
+    assert err == "error: internal error: KeyError: 'boom'\n"
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 

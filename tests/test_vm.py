@@ -18,6 +18,7 @@ from eolab.expressions import (
     parse_arith,
     parse_guard,
 )
+from eolab.oracle import brute_force_schedule
 from eolab.patterns import pattern_of
 from eolab.vm import (
     ChoiceError,
@@ -389,3 +390,30 @@ def test_schedule_window_locality_and_set_preservation(native, window, kind):
     assert set(out.elements) == set(native)
     for t, value in enumerate(out.elements, start=1):
         assert value in native[: t + window - 1]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).elements
+    except ValueError as exc:  # the scheduling errors, and a repeated value emitted
+        return type(exc), str(exc)
+
+
+@st.composite
+def schedule_cases(draw):
+    # Values from a small range repeat, so min/max ties are common.
+    values = st.integers(0, 5) if draw(st.booleans()) else st.integers(0, 10**6)
+    native = draw(st.lists(values, min_size=1, max_size=12))
+    kind = draw(st.sampled_from(["native", "min_first", "max_first", "explicit"]))
+    k = draw(st.integers(1, len(native) + 1))
+    choices = draw(st.lists(st.integers(0, 4), max_size=k)) if kind == "explicit" else ()
+    return native, Scheduler(kind, window=draw(st.integers(1, 14)), choices=choices), k
+
+
+@settings(max_examples=400)
+@given(schedule_cases())
+@example(([3, 1, 3, 1, 2], Scheduler("min_first", window=4), 3))
+@example(([3, 1, 3, 1, 2], Scheduler("max_first", window=4), 2))
+def test_schedule_agrees_with_literal_loop(case):
+    native, sched, k = case
+    assert _outcome(schedule, native, sched, k) == _outcome(brute_force_schedule, native, sched, k)
