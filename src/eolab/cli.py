@@ -15,19 +15,11 @@ import sys
 from typing import Sequence
 
 from .expressions import EvaluationError, ExpressionError
-from .oracle import (
-    OracleReport,
-    check_hasse,
-    check_inversion_equiv,
-    check_preorder_laws,
-    check_theorem3_finite,
-    check_theorem10,
-)
 from .patterns import (
+    MAX_ELEMENT,
     PREFIX_SCOPE_NOTE,
-    ListingPrefix,
     _first_violation,
-    ascents,
+    _pair_rows,
     pattern_of,
 )
 from .poset import (
@@ -69,12 +61,11 @@ class UsageError(ValueError):
 
 def _parse_naturals(text: str, what: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
-    values = []
     for part in parts:
-        if not part.isdigit():
+        # int() rejects digits such as '²', and strings of over 4,300 digits.
+        if not part.isdecimal() or len(part.lstrip("0")) > len(str(MAX_ELEMENT)):
             raise UsageError(f"{what}: expected comma-separated naturals, got {part!r}")
-        values.append(int(part))
-    return tuple(values)
+    return tuple(map(int, parts))
 
 
 def _dump_json(obj) -> str:
@@ -85,10 +76,15 @@ def _fmt_seq(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _fmt_pairs(pairs) -> str:
-    if not pairs:
-        return "none"
-    return " ".join(f"({i},{j})" for i, j in sorted(pairs))
+def _join_pairs(ranks, ascending: bool, tokens: list[str], opening: str, sep: str) -> str:
+    """The ascents (or inversions) of ``ranks`` in lexicographic order, with no
+    pair object or sort: (i, j) as ``{opening}{i},{tokens[j]}``, joined by ``sep``."""
+    rows = []
+    for i, row in enumerate(_pair_rows(ranks, tokens, ascending)):
+        head = f"{opening}{i},"
+        if body := (sep + head).join(row):
+            rows.append(head + body)
+    return sep.join(rows)
 
 
 def _read_file(path: str) -> str:
@@ -103,23 +99,16 @@ def _read_file(path: str) -> str:
 
 
 def _cmd_pattern(args) -> tuple[int, str]:
-    prefix = ListingPrefix(_parse_naturals(args.sequence, "sequence"))
-    pattern = pattern_of(prefix)
-    up = ascents(pattern)
-    down = up.complement()
+    ranks = pattern_of(_parse_naturals(args.sequence, "sequence")).ranks
+    opening, closing, sep = ("[", "]", ",") if args.format == "json" else ("(", ")", " ")
+    tokens = [f"{j}{closing}" for j in range(len(ranks))]
+    up, down = (_join_pairs(ranks, a, tokens, opening, sep) for a in (True, False))
     if args.format == "json":
-        doc = {
-            "pattern": pattern.to_json(),
-            "ascents": up.to_json(),
-            "inversions": down.to_json(),
-        }
-        return EXIT_OK, _dump_json(doc)
-    lines = [
-        f"pattern: {_fmt_seq(pattern.ranks)}",
-        f"ascents: {_fmt_pairs(up.pairs)}",
-        f"inversions: {_fmt_pairs(down.pairs)}",
-    ]
-    return EXIT_OK, "\n".join(lines) + "\n"
+        # What _dump_json gives for {"pattern", "ascents", "inversions"}.
+        doc = f'{{"ascents":[{up}],"inversions":[{down}],"pattern":[{_fmt_seq(ranks)}]}}'
+        return EXIT_OK, doc + "\n"
+    text = f"pattern: {_fmt_seq(ranks)}\nascents: {up or 'none'}\ninversions: {down or 'none'}\n"
+    return EXIT_OK, text
 
 
 def _verdict(left_right: bool, right_left: bool) -> str:
@@ -133,8 +122,8 @@ def _verdict(left_right: bool, right_left: bool) -> str:
 
 
 def _cmd_cmp(args) -> tuple[int, str]:
-    left = pattern_of(ListingPrefix(_parse_naturals(args.left, "--left")))
-    right = pattern_of(ListingPrefix(_parse_naturals(args.right, "--right")))
+    left = pattern_of(_parse_naturals(args.left, "--left"))
+    right = pattern_of(_parse_naturals(args.right, "--right"))
     vio_lr, vio_rl = _first_violation(left, right), _first_violation(right, left)
     lr, rl = vio_lr is None, vio_rl is None
     if args.format == "json":
@@ -240,18 +229,20 @@ def _cmd_search(args) -> tuple[int, str]:
     return _SEARCH_EXITS[report.status], text
 
 
-def _suite_report(args) -> OracleReport:
+def _suite_report(args):
+    from . import oracle  # only `check` needs it, and it is slow to import
+
     if args.suite == "theorem3":
         if args.support is None:
             raise UsageError("--suite theorem3 requires --support")
-        return check_theorem3_finite(args.n, _parse_naturals(args.support, "--support"))
+        return oracle.check_theorem3_finite(args.n, _parse_naturals(args.support, "--support"))
     if args.support is not None:
         raise UsageError(f"--support is only valid with --suite theorem3, not {args.suite}")
     runners = {
-        "preorder": check_preorder_laws,
-        "inversion": check_inversion_equiv,
-        "theorem10": check_theorem10,
-        "hasse": check_hasse,
+        "preorder": oracle.check_preorder_laws,
+        "inversion": oracle.check_inversion_equiv,
+        "theorem10": oracle.check_theorem10,
+        "hasse": oracle.check_hasse,
     }
     return runners[args.suite](args.n)
 

@@ -80,6 +80,15 @@ def _direct_uniform(p, q) -> bool:
     return True
 
 
+def brute_force_pair_sets(p) -> tuple[fast.PairSet, fast.PairSet]:
+    """Ascents and inversions of p, literally: the ascending index pairs
+    among all of them, and the inversions as their complement."""
+    n = len(p)
+    pairs = frozenset(itertools.combinations(range(n), 2))
+    up = frozenset((i, j) for i, j in pairs if p[i] < p[j])
+    return fast.PairSet(up, n), fast.PairSet(pairs - up, n)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise OracleCapError(message)

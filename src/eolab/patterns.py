@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 #: Elements are naturals that must fit in 64 unsigned bits.
@@ -128,10 +128,6 @@ class PairSet:
         """JSON form: lexicographically sorted array of [i, j] arrays."""
         return [[i, j] for i, j in sorted(self.pairs)]
 
-    def complement(self) -> PairSet:
-        """The index pairs of the same length not in this set."""
-        return PairSet(frozenset(combinations(range(self.n), 2)) - self.pairs, self.n)
-
 
 @dataclass(frozen=True)
 class ListingPrefix:
@@ -197,20 +193,31 @@ def pattern_of(prefix: ListingPrefix | Sequence[int]) -> OrderPattern:
     return OrderPattern(tuple(rank_by_value[v] for v in prefix.elements))
 
 
+def _pair_rows(ranks: Sequence[int], labels: Sequence, ascending: bool) -> Iterator[Iterator]:
+    """Row i of the ascents (or inversions) of ``ranks``: the ``labels[j]`` of
+    its pairs (i, j), increasing in j, selected in C with no pair objects."""
+    for i, rank in enumerate(ranks):
+        above = rank.__lt__ if ascending else rank.__gt__
+        yield compress(labels[i + 1 :], map(above, ranks[i + 1 :]))
+
+
+def _pair_set(p: OrderPattern, ascending: bool) -> PairSet:
+    rows = _pair_rows(p.ranks, range(len(p)), ascending)
+    return PairSet(frozenset((i, j) for i, row in enumerate(rows) for j in row), len(p))
+
+
 def ascents(p: OrderPattern) -> PairSet:
     """Index pairs (i, j), i < j, with p[i] < p[j].
 
     >>> ascents(OrderPattern((1, 0, 2))).to_json()
     [[0, 2], [1, 2]]
     """
-    ranks = p.ranks
-    pairs = combinations(range(len(p)), 2)
-    return PairSet(frozenset((i, j) for i, j in pairs if ranks[i] < ranks[j]), len(p))
+    return _pair_set(p, True)
 
 
 def inversions(p: OrderPattern) -> PairSet:
-    """Index pairs (i, j), i < j, with p[i] > p[j]; complement of ascents."""
-    return ascents(p).complement()
+    """Index pairs (i, j), i < j, with p[i] > p[j]; the pairs not in ascents."""
+    return _pair_set(p, False)
 
 
 def _check_lengths(p: OrderPattern, q: OrderPattern) -> None:

@@ -26,6 +26,7 @@ from .expressions import ArithExpr, EvaluationError, GuardExpr, parse_arith, par
 from .patterns import ListingPrefix
 
 SCHEDULER_KINDS = ("native", "min_first", "max_first", "explicit")
+MAX_ROUND_CAP = 10**6  # dovetail takes time and memory linear in its round cap
 
 
 class ProgramError(ValueError):
@@ -143,8 +144,8 @@ def dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> DovetailTrace:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if round_cap < 1:
-        raise ValueError(f"round_cap must be >= 1, got {round_cap}")
+    if not 1 <= round_cap <= MAX_ROUND_CAP:
+        raise ValueError(f"round_cap must be in 1..{MAX_ROUND_CAP}, got {round_cap}")
 
     due: dict[int, list[int]] = {}  # halting round -> pending inputs, increasing
     halted: set[int] = set()

@@ -246,6 +246,25 @@ def test_run_min_first_window_20000_is_cheap():
     assert json.loads(proc.stdout)["emitted"] == list(range(0, 40_000, 2))
 
 
+def test_pattern_length_2000_is_fast():
+    # About two million pairs: the output is Θ(n²), and rendering it must
+    # take time linear in its size, not build and sort pair objects.
+    n = 2000
+    sequence = ",".join(str((7 * i) % 2003) for i in range(n))
+    for fmt in ("text", "json"):
+        start = time.monotonic()
+        proc = eolab("pattern", sequence, "--format", fmt)
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 0
+        assert elapsed < 2.0, (fmt, elapsed)
+        if fmt == "json":
+            doc = json.loads(proc.stdout)
+            assert len(doc["ascents"]) + len(doc["inversions"]) == n * (n - 1) // 2
+        else:
+            lines = proc.stdout.splitlines()
+            assert [line.split(":")[0] for line in lines] == ["pattern", "ascents", "inversions"]
+
+
 def test_search_k10_w3_exhausts_quickly():
     # Rising against falling natives: B's frontier is shared across A's
     # reorderings and dead subtrees are counted in closed form.

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eolab.cli import main
+from eolab.oracle import brute_force_pair_sets
+from eolab.patterns import pattern_of
 
 from conftest import PROGRAMS
 
@@ -52,6 +57,69 @@ def test_pattern_garbage_exit_2(capsys):
     code, _, err = invoke(capsys, "pattern", "5,x,9")
     assert code == 2
     assert "naturals" in err
+
+
+@pytest.mark.parametrize("element", ["²", "1" * 5000])
+def test_pattern_non_natural_message(capsys, element):
+    # int() rejects both: '²' is a digit but not a decimal, and 5,000
+    # digits exceed its 4,300-digit limit on string conversions.
+    code, out, err = invoke(capsys, "pattern", f"{element},1")
+    assert (code, out) == (2, "")
+    assert err == f"error: sequence: expected comma-separated naturals, got {element!r}\n"
+
+
+def _reference_pattern_output(sequence, fmt):
+    """The pattern output, from the oracle's pair sets, formatted pair by pair."""
+    ranks = pattern_of(sequence).ranks
+    up, down = brute_force_pair_sets(ranks)
+    if fmt == "json":
+        doc = {"pattern": list(ranks), "ascents": up.to_json(), "inversions": down.to_json()}
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    pairs = [" ".join(f"({i},{j})" for i, j in sorted(s.pairs)) or "none" for s in (up, down)]
+    return "pattern: {}\nascents: {}\ninversions: {}\n".format(
+        ",".join(map(str, ranks)), *pairs
+    )
+
+
+def _pattern_stdout(sequence, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["pattern", ",".join(map(str, sequence)), "--format", fmt]) == 0
+    return out.getvalue()
+
+
+# Few examples: the literal reference is the slow path being replaced.
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 400).flatmap(lambda n: st.permutations(range(n))),
+    st.sampled_from(["text", "json"]),
+)
+def test_pattern_output_matches_literal_reference(ranks, fmt):
+    sequence = [7 * r + 3 for r in ranks]
+    assert _pattern_stdout(sequence, fmt) == _reference_pattern_output(sequence, fmt)
+
+
+@pytest.mark.parametrize(
+    "sequence, text, json_doc",
+    [
+        ([7], "ascents: none\ninversions: none", '"ascents":[],"inversions":[]'),
+        (
+            [1, 4, 9],
+            "ascents: (0,1) (0,2) (1,2)\ninversions: none",
+            '"ascents":[[0,1],[0,2],[1,2]],"inversions":[]',
+        ),
+        (
+            [9, 4, 1],
+            "ascents: none\ninversions: (0,1) (0,2) (1,2)",
+            '"ascents":[],"inversions":[[0,1],[0,2],[1,2]]',
+        ),
+    ],
+    ids=["length-1", "identity", "reversal"],
+)
+def test_pattern_pinned_cases(sequence, text, json_doc):
+    ranks = ",".join(map(str, pattern_of(sequence).ranks))
+    assert _pattern_stdout(sequence, "text") == f"pattern: {ranks}\n{text}\n"
+    assert _pattern_stdout(sequence, "json") == f'{{{json_doc},"pattern":[{ranks}]}}\n'
 
 
 # --- cmp ---------------------------------------------------------------------
@@ -221,6 +289,27 @@ def test_run_choices_rejected_without_explicit(capsys):
     )
     assert code == 2
     assert "explicit" in err
+
+
+def test_run_round_cap_ceiling(capsys):
+    code, out, _ = invoke(
+        capsys, "run", "--program", prog("evens"), "--k", "1", "--round-cap", "1000000"
+    )
+    assert (code, out.splitlines()[0]) == (0, "emitted: 0")
+    code, out, err = invoke(
+        capsys, "run", "--program", prog("evens"), "--k", "1", "--round-cap", "1000001"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: round_cap must be in 1..1000000, got 1000001\n"
+
+
+def test_search_round_cap_ceiling(capsys):
+    code, out, err = invoke(
+        capsys, "search", "--a", prog("evens"), "--b", prog("evens"),
+        "--k", "2", "--window", "1", "--round-cap", "1000001",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: round_cap must be in 1..1000000, got 1000001\n"
 
 
 def test_run_bad_json_exit_2(capsys, tmp_path):

@@ -11,7 +11,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from eolab.oracle import _direct_leq
+from eolab.oracle import _direct_leq, brute_force_pair_sets
 from eolab.patterns import (
     MAX_ELEMENT,
     DuplicateElementError,
@@ -155,6 +155,18 @@ def test_ascents_inversions_partition_all_pairs(n):
         a, v = ascents(p).pairs, inversions(p).pairs
         assert a | v == full
         assert a & v == frozenset()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_sets_agree_with_literal_reference(n):
+    for p in all_patterns(n):
+        assert (ascents(p), inversions(p)) == brute_force_pair_sets(p)
+
+
+@given(st.integers(1, 60).flatmap(lambda n: st.permutations(range(n))))
+def test_pair_sets_agree_with_literal_reference_long(ranks):
+    p = OrderPattern(tuple(ranks))
+    assert (ascents(p), inversions(p)) == brute_force_pair_sets(p)
 
 
 def test_pairset_json_sorted():
