@@ -55,6 +55,10 @@ _SEARCH_EXITS = {
 }
 
 
+#: ``pattern`` prints all n(n-1)/2 index pairs, about 92 MB of text at this length.
+MAX_PATTERN_LENGTH = 4000
+
+
 class UsageError(ValueError):
     pass
 
@@ -99,7 +103,10 @@ def _read_file(path: str) -> str:
 
 
 def _cmd_pattern(args) -> tuple[int, str]:
-    ranks = pattern_of(_parse_naturals(args.sequence, "sequence")).ranks
+    sequence = _parse_naturals(args.sequence, "sequence")
+    if len(sequence) > MAX_PATTERN_LENGTH:
+        raise UsageError(f"sequence: at most {MAX_PATTERN_LENGTH} elements, got {len(sequence)}")
+    ranks = pattern_of(sequence).ranks
     opening, closing, sep = ("[", "]", ",") if args.format == "json" else ("(", ")", " ")
     tokens = [f"{j}{closing}" for j in range(len(ranks))]
     up, down = (_join_pairs(ranks, a, tokens, opening, sep) for a in (True, False))
@@ -175,9 +182,28 @@ def _cmd_poset(args) -> tuple[int, str]:
     return EXIT_OK, export(build_poset(args.n, cap=args.cap), args.format)
 
 
+def _run_stats(prog, trace) -> dict:
+    """The sweep's counters, read off its trace: every input tried evaluates
+    the guard once, every one whose guard held the cost once, and every
+    halted one the value once."""
+    halted = len(trace.halted_inputs)
+    return {
+        "rounds": trace.rounds,
+        "inputsTried": trace.inputs_tried,
+        "guardEvals": trace.inputs_tried if prog.guard is not None else 0,
+        "costEvals": halted + trace.pending,
+        "valueEvals": halted,
+        "stepsCharged": trace.steps_charged,
+        "halted": halted,
+        "pending": trace.pending,
+    }
+
+
 def _cmd_run(args) -> tuple[int, str]:
     prog = parse_program(_read_file(args.program))
     trace = dovetail(prog, args.k, args.round_cap)
+    if args.stats:
+        sys.stderr.write(_dump_json(_run_stats(prog, trace)))
     emitted = trace.emitted
     if args.schedule is not None:
         choices = _parse_naturals(args.choices, "--choices") if args.choices else ()
@@ -312,6 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--window", type=int, default=1)
     p_run.add_argument("--choices", help="comma-separated buffer choices (explicit)")
+    p_run.add_argument(
+        "--stats", action="store_true", help="print the dovetailer's counters as JSON on stderr"
+    )
     p_run.set_defaults(handler=_cmd_run)
 
     p_search = sub.add_parser(

@@ -14,15 +14,17 @@ Guards add comparisons and boolean connectives on top::
 
 The only bound variable is ``i``.  Arithmetic is checked unsigned
 64-bit: subtraction truncates at zero, anything exceeding 2**64 - 1
-raises instead of wrapping.  Parentheses may nest, and the syntax tree
-may grow, at most ``MAX_DEPTH`` levels deep, so that parsing and the
-recursive evaluator stay well inside the default recursion limit.
+raises instead of wrapping.  Each expression is compiled once, at parse
+time, into nested closures.  Parentheses may nest, and the syntax tree
+may grow, at most ``MAX_DEPTH`` levels deep, so that parsing, compiling
+and the compiled closures' calls stay well inside the default recursion
+limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Union
 
 MAX_VALUE = 2**64 - 1
 MAX_DEPTH = 100
@@ -108,8 +110,7 @@ _BoolNode = Union[_Compare, _Logic]
 # --- tokenizer ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):  # not a frozen dataclass, which is twice as slow to build
     kind: str  # nat ident op end
     text: str
     position: int  # 1-based
@@ -258,67 +259,181 @@ def _check_depth(root: Union[_ArithNode, _BoolNode]) -> None:
             stack += ((node.left, depth + 1), (node.right, depth + 1))
 
 
-# --- evaluation -----------------------------------------------------------
+# --- compilation ----------------------------------------------------------
+#
+# Each tree is compiled once, at parse time, into nested closures, so that
+# evaluation dispatches on nothing.  A literal operand is folded into its
+# parent's closure instead of being called.  Operands are evaluated left to
+# right and every error is raised as by the tree-walking reference,
+# ``oracle._eval_arith``; the literal, which raises nothing, is the only
+# operand whose place may change.
+
+_OVERFLOW = "overflow beyond 64 bits"
 
 
-def _eval_arith(node: _ArithNode, i: int, source: str) -> int:
-    if isinstance(node, _Nat):
-        return node.value
-    if isinstance(node, _Var):
-        return i
-    left = _eval_arith(node.left, i, source)
-    right = _eval_arith(node.right, i, source)
-    if node.op == "+":
-        result = left + right
-    elif node.op == "-":
-        result = left - right if left > right else 0
-    elif node.op == "*":
-        result = left * right
-    else:  # mod
-        if right == 0:
+def _identity(i: int) -> int:
+    return i
+
+
+def _constant(value: int) -> Callable[[int], int]:
+    return lambda i: value
+
+
+def _operand(node: _ArithNode, source: str) -> Union[int, Callable[[int], int]]:
+    return node.value if isinstance(node, _Nat) else _compile_arith(node, source)
+
+
+def _add(left, right, source: str) -> Callable[[int], int]:
+    if type(right) is int:
+        left, right = right, left
+    if type(left) is int:
+        def add(i):
+            result = left + right(i)
+            if result > MAX_VALUE:
+                raise CheckedOverflowError(_OVERFLOW, source, i)
+            return result
+    else:
+        def add(i):
+            result = left(i) + right(i)
+            if result > MAX_VALUE:
+                raise CheckedOverflowError(_OVERFLOW, source, i)
+            return result
+    return add
+
+
+def _mul(left, right, source: str) -> Callable[[int], int]:
+    if type(right) is int:
+        left, right = right, left
+    if type(left) is int:
+        def mul(i):
+            result = left * right(i)
+            if result > MAX_VALUE:
+                raise CheckedOverflowError(_OVERFLOW, source, i)
+            return result
+    else:
+        def mul(i):
+            result = left(i) * right(i)
+            if result > MAX_VALUE:
+                raise CheckedOverflowError(_OVERFLOW, source, i)
+            return result
+    return mul
+
+
+# A difference is at most its minuend and a remainder at most its dividend
+# and below its divisor; of all the operands, only ``i`` itself can exceed
+# 64 bits unchecked.  So a literal minus anything, and any remainder, need
+# no overflow check.
+
+
+def _sub(left, right, source: str) -> Callable[[int], int]:
+    if type(left) is int:
+        def sub(i):
+            b = right(i)
+            return left - b if left > b else 0
+    elif type(right) is int:
+        def sub(i):
+            a = left(i)
+            if a <= right:
+                return 0
+            if a - right > MAX_VALUE:
+                raise CheckedOverflowError(_OVERFLOW, source, i)
+            return a - right
+    else:
+        def sub(i):
+            a = left(i)
+            b = right(i)
+            if a <= b:
+                return 0
+            if a - b > MAX_VALUE:
+                raise CheckedOverflowError(_OVERFLOW, source, i)
+            return a - b
+    return sub
+
+
+def _mod(left, right, source: str) -> Callable[[int], int]:
+    if type(right) is int and right:
+        if left is _identity:
+            return right.__rmod__
+        return lambda i: left(i) % right
+    if type(left) is int:
+        left = _constant(left)
+    if type(right) is int:
+        right = _constant(right)
+
+    def mod(i):
+        a = left(i)
+        b = right(i)
+        if b == 0:
             raise EvaluationError("mod by zero", source, i)
-        result = left % right
-    if result > MAX_VALUE:
-        raise CheckedOverflowError("overflow beyond 64 bits", source, i)
-    return result
+        return a % b
+
+    return mod
 
 
-def _eval_bool(node: _BoolNode, i: int, source: str) -> bool:
+_ARITH = {"+": _add, "-": _sub, "*": _mul, "mod": _mod}
+
+
+def _compile_arith(node: _ArithNode, source: str) -> Callable[[int], int]:
+    if isinstance(node, _Nat):
+        return _constant(node.value)
+    if isinstance(node, _Var):
+        return _identity
+    left, right = _operand(node.left, source), _operand(node.right, source)
+    if type(left) is int and type(right) is int:
+        right = _constant(right)
+    return _ARITH[node.op](left, right, source)
+
+
+# Comparisons by operator: one closure for two computed operands, one for a
+# literal right operand.  A literal left operand is computed.
+_COMPARE = {
+    "==": (lambda a, b: lambda i: a(i) == b(i), lambda a, c: lambda i: a(i) == c),
+    "!=": (lambda a, b: lambda i: a(i) != b(i), lambda a, c: lambda i: a(i) != c),
+    "<": (lambda a, b: lambda i: a(i) < b(i), lambda a, c: lambda i: a(i) < c),
+    "<=": (lambda a, b: lambda i: a(i) <= b(i), lambda a, c: lambda i: a(i) <= c),
+}
+
+
+def _compile_bool(node: _BoolNode, source: str) -> Callable[[int], bool]:
     if isinstance(node, _Compare):
-        left = _eval_arith(node.left, i, source)
-        right = _eval_arith(node.right, i, source)
-        if node.op == "==":
-            return left == right
-        if node.op == "!=":
-            return left != right
-        if node.op == "<":
-            return left < right
-        return left <= right
+        left = _compile_arith(node.left, source)
+        right = _operand(node.right, source)
+        computed, literal = _COMPARE[node.op]
+        return literal(left, right) if type(right) is int else computed(left, right)
+    left, right = _compile_bool(node.left, source), _compile_bool(node.right, source)
     if node.op == "and":
-        return _eval_bool(node.left, i, source) and _eval_bool(node.right, i, source)
-    return _eval_bool(node.left, i, source) or _eval_bool(node.right, i, source)
+        return lambda i: left(i) and right(i)
+    return lambda i: left(i) or right(i)
 
 
 @dataclass(frozen=True)
 class ArithExpr:
-    """A parsed arithmetic expression over the variable i."""
+    """A parsed arithmetic expression over the variable i.
+
+    ``fn`` is the expression compiled at parse time; ``evaluate`` calls it.
+    """
 
     source: str
     root: _ArithNode
+    fn: Callable[[int], int] = field(compare=False, repr=False)
 
     def evaluate(self, i: int) -> int:
-        return _eval_arith(self.root, i, self.source)
+        return self.fn(i)
 
 
 @dataclass(frozen=True)
 class GuardExpr:
-    """A parsed boolean expression over the variable i."""
+    """A parsed boolean expression over the variable i.
+
+    ``fn`` is the expression compiled at parse time; ``evaluate`` calls it.
+    """
 
     source: str
     root: _BoolNode
+    fn: Callable[[int], bool] = field(compare=False, repr=False)
 
     def evaluate(self, i: int) -> bool:
-        return _eval_bool(self.root, i, self.source)
+        return self.fn(i)
 
 
 def parse_arith(source: str) -> ArithExpr:
@@ -326,7 +441,7 @@ def parse_arith(source: str) -> ArithExpr:
     root = parser.expr()
     parser.expect_end()
     _check_depth(root)
-    return ArithExpr(source, root)
+    return ArithExpr(source, root, _compile_arith(root, source))
 
 
 def parse_guard(source: str) -> GuardExpr:
@@ -334,4 +449,4 @@ def parse_guard(source: str) -> GuardExpr:
     root = parser.guard()
     parser.expect_end()
     _check_depth(root)
-    return GuardExpr(source, root)
+    return GuardExpr(source, root, _compile_bool(root, source))

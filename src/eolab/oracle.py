@@ -19,7 +19,16 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import patterns as fast
-from .expressions import EvaluationError
+from .expressions import (
+    MAX_VALUE,
+    CheckedOverflowError,
+    EvaluationError,
+    _ArithNode,
+    _BoolNode,
+    _Compare,
+    _Nat,
+    _Var,
+)
 from .poset import NoAntichainError, build_poset
 from .search import SearchBudget, WitnessReport, native_traces
 from .vm import (
@@ -294,6 +303,48 @@ def brute_force_antichain(n: int, size: int) -> tuple[tuple[int, ...], ...]:
     return found
 
 
+# The tree-walking evaluator: the reference for the closures that
+# ``expressions`` compiles each expression into.
+
+
+def _eval_arith(node: _ArithNode, i: int, source: str) -> int:
+    if isinstance(node, _Nat):
+        return node.value
+    if isinstance(node, _Var):
+        return i
+    left = _eval_arith(node.left, i, source)
+    right = _eval_arith(node.right, i, source)
+    if node.op == "+":
+        result = left + right
+    elif node.op == "-":
+        result = left - right if left > right else 0
+    elif node.op == "*":
+        result = left * right
+    else:  # mod
+        if right == 0:
+            raise EvaluationError("mod by zero", source, i)
+        result = left % right
+    if result > MAX_VALUE:
+        raise CheckedOverflowError("overflow beyond 64 bits", source, i)
+    return result
+
+
+def _eval_bool(node: _BoolNode, i: int, source: str) -> bool:
+    if isinstance(node, _Compare):
+        left = _eval_arith(node.left, i, source)
+        right = _eval_arith(node.right, i, source)
+        if node.op == "==":
+            return left == right
+        if node.op == "!=":
+            return left != right
+        if node.op == "<":
+            return left < right
+        return left <= right
+    if node.op == "and":
+        return _eval_bool(node.left, i, source) and _eval_bool(node.right, i, source)
+    return _eval_bool(node.left, i, source) or _eval_bool(node.right, i, source)
+
+
 def brute_force_dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> DovetailTrace:
     """The dovetailer, literally: every round r retries each pending input
     i <= r in increasing order, charging min(cost, r) (r if the guard
@@ -315,16 +366,30 @@ def brute_force_dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> Dov
 
     def guard_holds(i: int) -> bool:
         if i not in guard_memo:
-            guard_memo[i] = prog.guard.evaluate(i) if prog.guard is not None else True
+            guard_memo[i] = (
+                prog.guard is None or _eval_bool(prog.guard.root, i, prog.guard.source)
+            )
         return guard_memo[i]
 
     def cost_of(i: int) -> int:
         if i not in cost_memo:
-            cost = prog.cost.evaluate(i)
+            cost = _eval_arith(prog.cost.root, i, prog.cost.source)
             if cost < 1:
                 raise EvaluationError("cost must be >= 1", prog.cost.source, i)
             cost_memo[i] = cost
         return cost_memo[i]
+
+    def trace(rounds: int) -> DovetailTrace:
+        return DovetailTrace(
+            program=prog.name,
+            rounds=rounds,
+            emitted=tuple(emitted),
+            halted_inputs=frozenset(halted),
+            steps_charged=steps,
+            truncated=len(emitted) < k,
+            inputs_tried=len(guard_memo),
+            pending=len(cost_memo) - len(halted),
+        )
 
     for r in range(1, round_cap + 1):
         for i in range(r + 1):
@@ -338,27 +403,13 @@ def brute_force_dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> Dov
             steps += min(cost, r)
             if cost <= r:
                 halted.add(i)
-                value = prog.value.evaluate(i)
+                value = _eval_arith(prog.value.root, i, prog.value.source)
                 if value not in seen:
                     seen.add(value)
                     emitted.append(value)
                     if len(emitted) == k:
-                        return DovetailTrace(
-                            program=prog.name,
-                            rounds=r,
-                            emitted=tuple(emitted),
-                            halted_inputs=frozenset(halted),
-                            steps_charged=steps,
-                            truncated=False,
-                        )
-    return DovetailTrace(
-        program=prog.name,
-        rounds=round_cap,
-        emitted=tuple(emitted),
-        halted_inputs=frozenset(halted),
-        steps_charged=steps,
-        truncated=True,
-    )
+                        return trace(r)
+    return trace(round_cap)
 
 
 def brute_force_schedule(source: NativeSource, sched: Scheduler, k: int) -> fast.ListingPrefix:

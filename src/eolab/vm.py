@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence, Union
 
 from .expressions import ArithExpr, EvaluationError, GuardExpr, parse_arith, parse_guard
@@ -106,6 +106,8 @@ class DovetailTrace:
     all, s if i diverges, T(s, H(i) - 1) + cost(i) if it halted and T(s, L)
     if pending, with s = max(1, i), T(a, b) = a + ... + b and L the final
     round (the one before it for inputs above that of the k-th emission).
+    ``inputs_tried`` counts the inputs tried at least once and ``pending``
+    those whose guard held but which had not halted when the run stopped.
     """
 
     program: str
@@ -114,6 +116,8 @@ class DovetailTrace:
     halted_inputs: frozenset[int]
     steps_charged: int
     truncated: bool
+    inputs_tried: int
+    pending: int
 
     def as_prefix(self) -> ListingPrefix:
         if not self.emitted:
@@ -136,48 +140,58 @@ def _span(a: int, b: int) -> int:
 def dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> DovetailTrace:
     """Run the dovetailer until k values are emitted or round_cap is hit.
 
-    One sweep: round r halts the inputs due in it in increasing order,
-    then tries input r (0 and 1 in round 1), filing it under H(r) unless
-    it halts at once.  Expressions are evaluated in the order of the
-    literal round loop, ``oracle.brute_force_dovetail``.  Hitting
-    round_cap yields a trace flagged truncated, not an error.
+    One sweep over the inputs n: round r = max(1, n) halts the inputs due
+    in it in increasing order, then tries input n, filing it under H(n)
+    unless it halts at once.  A round's bucket is dropped once all of it
+    has halted, so an unfinished one is still there for the final charge.
+    Expressions are evaluated in the order of the literal round loop,
+    ``oracle.brute_force_dovetail``, through the closures compiled at
+    parse time.  Hitting round_cap yields a trace flagged truncated, not
+    an error.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 1 <= round_cap <= MAX_ROUND_CAP:
         raise ValueError(f"round_cap must be in 1..{MAX_ROUND_CAP}, got {round_cap}")
 
-    due: dict[int, list[int]] = {}  # halting round -> pending inputs, increasing
+    guard = prog.guard.fn if prog.guard is not None else None
+    cost_of, value_of = prog.cost.fn, prog.value.fn
+    due: defaultdict[int, list[int]] = defaultdict(list)  # halting round -> inputs, increasing
     halted: set[int] = set()
     emitted: dict[int, None] = {}  # values in first-emission order
     steps = 0
 
-    for r in range(1, round_cap + 1):
-        for i in chain(due.get(r, ()), (0, 1) if r == 1 else (r,)):
-            start = max(1, i)
-            if start < r:  # filed in an earlier round, so its cost is r
-                steps += _span(start, r)
-            elif prog.guard is not None and not prog.guard.evaluate(i):
-                steps += r
-                continue
-            else:
-                cost = prog.cost.evaluate(i)
-                if cost < 1:
-                    raise EvaluationError("cost must be >= 1", prog.cost.source, i)
-                if cost > r:
-                    due.setdefault(cost, []).append(i)
-                    continue
-                steps += cost
-            halted.add(i)
-            emitted[prog.value.evaluate(i)] = None
+    for n in range(round_cap + 1):
+        r = n or 1  # round 1 tries inputs 0 and 1; no input is ever due in it
+        bucket = due.get(r)
+        if bucket is not None:
+            for i in bucket:  # filed in an earlier round, so its cost is r
+                steps += _span(max(1, i), r)
+                halted.add(i)
+                emitted[value_of(i)] = None
+                if len(emitted) == k:
+                    break
             if len(emitted) == k:
                 break
+            del due[r]
+        i = n
+        if guard is not None and not guard(i):
+            steps += r
+            continue
+        cost = cost_of(i)
+        if cost > r:
+            due[cost].append(i)
+            continue
+        if cost < 1:
+            raise EvaluationError("cost must be >= 1", prog.cost.source, i)
+        steps += cost
+        halted.add(i)
+        emitted[value_of(i)] = None
         if len(emitted) == k:
             break
-        due.pop(r, None)
 
     # Pending inputs above i, the last tried in round r, last ran in round r - 1.
-    pending = (j for bucket in due.values() for j in bucket if j not in halted)
+    pending = [j for bucket in due.values() for j in bucket if j not in halted]
     steps += sum(_span(max(1, j), r - (j > i)) for j in pending)
     return DovetailTrace(
         program=prog.name,
@@ -186,6 +200,8 @@ def dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> DovetailTrace:
         halted_inputs=frozenset(halted),
         steps_charged=steps,
         truncated=len(emitted) < k,
+        inputs_tried=max(r, i + 1),  # every input below r, and r if it was tried
+        pending=len(pending),
     )
 
 

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eolab.cli import main
+from eolab.cli import MAX_PATTERN_LENGTH, main
 from eolab.oracle import brute_force_pair_sets
 from eolab.patterns import pattern_of
 
@@ -66,6 +66,18 @@ def test_pattern_non_natural_message(capsys, element):
     code, out, err = invoke(capsys, "pattern", f"{element},1")
     assert (code, out) == (2, "")
     assert err == f"error: sequence: expected comma-separated naturals, got {element!r}\n"
+
+
+def test_pattern_length_ceiling(capsys, monkeypatch):
+    code, out, err = invoke(capsys, "pattern", ",".join(map(str, range(MAX_PATTERN_LENGTH + 1))))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: sequence: at most {MAX_PATTERN_LENGTH} elements, got {MAX_PATTERN_LENGTH + 1}\n"
+    )
+    # At the ceiling itself the command runs; a small ceiling keeps that cheap.
+    monkeypatch.setattr("eolab.cli.MAX_PATTERN_LENGTH", 3)
+    assert invoke(capsys, "pattern", "5,2,9")[0] == 0
+    assert invoke(capsys, "pattern", "5,2,9,1")[:2] == (2, "")
 
 
 def _reference_pattern_output(sequence, fmt):
@@ -289,6 +301,41 @@ def test_run_choices_rejected_without_explicit(capsys):
     )
     assert code == 2
     assert "explicit" in err
+
+
+# Worked by hand, as in test_vm.py's steps_charged cases.  Staggered: odd
+# inputs cost 1, even ones 10; at k=10 round 10 halts 0, 2, 4, 6 and 8 and
+# stops before trying input 10; at k=7 it stops after input 2, leaving 4, 6
+# and 8 pending; at round cap 5 the evens 0, 2 and 4 are pending.
+# Evens-only: the guard fails at each odd input, tried once; the 4th value
+# is input 6's, in round 6.
+@pytest.mark.parametrize(
+    "name,k,round_cap,stats",
+    [
+        ("staggered", 10, 50, (10, 10, 0, 10, 10, 230, 10, 0)),
+        ("staggered", 7, 50, (10, 10, 0, 10, 7, 200, 7, 3)),
+        ("staggered", 10, 5, (5, 6, 0, 6, 3, 41, 3, 3)),
+        ("evens_only", 4, 100, (6, 7, 7, 4, 4, 13, 4, 0)),
+        ("evens_only", 5, 3, (3, 4, 4, 2, 2, 6, 2, 0)),
+    ],
+)
+def test_run_stats_by_hand(capsys, name, k, round_cap, stats):
+    _, _, err = invoke(capsys, "run", "--program", prog(name), "--k", str(k),
+                       "--round-cap", str(round_cap), "--stats")
+    keys = ("rounds", "inputsTried", "guardEvals", "costEvals", "valueEvals",
+            "stepsCharged", "halted", "pending")
+    assert json.loads(err) == dict(zip(keys, stats))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_run_stats_leave_stdout_alone(capsys, fmt):
+    argv = ["run", "--program", prog("odds_fast"), "--k", "8", "--schedule", "min_first",
+            "--window", "3", "--format", fmt]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    code_stats, out_stats, err_stats = invoke(capsys, *argv, "--stats")
+    assert (code_stats, out_stats) == (code, out)
+    assert err_stats.count("\n") == 1 and json.loads(err_stats)["valueEvals"] == 8
 
 
 def test_run_round_cap_ceiling(capsys):

@@ -9,16 +9,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from eolab.expressions import (
     MAX_DEPTH,
+    MAX_VALUE,
     CheckedOverflowError,
     EvaluationError,
     ExpressionError,
     ExpressionSyntaxError,
+    GuardExpr,
     GuardTypeError,
     UnknownIdentifierError,
     parse_arith,
     parse_guard,
 )
-from eolab.oracle import brute_force_schedule
+from eolab.oracle import _eval_arith, _eval_bool, brute_force_schedule
 from eolab.patterns import pattern_of
 from eolab.vm import (
     ChoiceError,
@@ -123,11 +125,77 @@ def test_depth_limit_boundary():
     assert parse_arith(nested).evaluate(3) == 3
     assert parse_arith("+".join(["i"] * MAX_DEPTH)).evaluate(2) == 2 * MAX_DEPTH
     assert parse_guard(" or ".join(["i == 1"] * (MAX_DEPTH - 1))).evaluate(1)
+    deepest = [
+        parse_arith("*".join(["i"] * MAX_DEPTH)),
+        parse_arith(" - ".join(["i mod 0"] + ["i"] * (MAX_DEPTH - 2))),
+        parse_guard(" and ".join(["i < 2"] * (MAX_DEPTH - 1))),
+        parse_guard(" or ".join(["i mod (i - i) == 0"] * (MAX_DEPTH - 3))),
+    ]
+    for expr in deepest:
+        for i in (0, 1, 2, 2**32):
+            assert _evaluation(expr.evaluate, i) == _evaluation(_tree_walk(expr), i)
     for too_deep in ("(" + nested + ")", "+".join(["i"] * (MAX_DEPTH + 1))):
         with pytest.raises(ExpressionSyntaxError):
             parse_arith(too_deep)
     with pytest.raises(ExpressionSyntaxError):
         parse_guard(" or ".join(["i == 1"] * MAX_DEPTH))
+
+
+def _evaluation(evaluate, i):
+    try:
+        return evaluate(i)
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+
+
+def _tree_walk(expr):
+    walk = _eval_bool if isinstance(expr, GuardExpr) else _eval_arith
+    return lambda i: walk(expr.root, i, expr.source)
+
+
+# Literals near the edges of 64 bits, so that sums and products overflow.
+_literal = st.sampled_from([0, 1, 2, 3, 7, 2**32 - 1, 2**32, 2**63, MAX_VALUE])
+_literal |= st.integers(0, MAX_VALUE)
+_expr = st.recursive(
+    st.just("i") | _literal.map(str),
+    lambda inner: st.builds(
+        "({} {} {})".format, inner, st.sampled_from(["+", "-", "*", "mod"]), inner
+    ),
+    max_leaves=10,
+)
+_comparison = st.builds(
+    "{} {} {}".format, _expr, st.sampled_from(["==", "!=", "<", "<="]), _expr
+)
+_guard = st.builds(
+    lambda first, rest: first + "".join(f" {op} {cmp}" for op, cmp in rest),
+    _comparison,
+    st.lists(st.tuples(st.sampled_from(["and", "or"]), _comparison), max_size=4),
+)
+# Inputs at the 32- and 64-bit edges; i above 64 bits is never dovetailed,
+# but the compiled form must still raise where the tree walk does.
+_input = st.sampled_from([0, 1, 2, 2**32 - 1, 2**32, 2**33, MAX_VALUE, 2**64, 2**65])
+_input |= st.integers(0, 2**33)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_expr.map(parse_arith), _guard.map(parse_guard)), _input)
+@example(parse_guard("i < 5 or i mod 0 == 1"), 3)  # the right side would raise
+@example(parse_guard("i < 5 or i mod 0 == 1"), 7)
+@example(parse_guard("i == 3 and i * i * i * i * i == 0"), 2**33)
+@example(parse_guard("i == 2 and i * i * i * i * i == 0"), 2**33)
+@example(parse_guard("i <= 7 and i == 7 and i != 8"), 7)  # literal right operands at equality
+@example(parse_guard("i < 7 or i != 7"), 7)
+@example(parse_arith("i * i"), 2**32 - 1)
+@example(parse_arith("i * i"), 2**32)
+@example(parse_arith("i - 1"), 2**64 + 1)
+@example(parse_arith("(i mod 0) + (i * i * i)"), 2**33)  # both operands raise
+@example(parse_arith("(i * i * i) + (i mod 0)"), 2**33)
+@example(parse_arith("(i * i * i) - (i mod 0)"), 2**33)
+@example(parse_arith("(i * i * i) mod (i mod 0)"), 2**33)
+def test_compiled_agrees_with_tree_walk(expr, i):
+    # Same value, or the same exception type and message (and so the same
+    # expression and the same i=).
+    assert _evaluation(expr.evaluate, i) == _evaluation(_tree_walk(expr), i)
 
 
 # --- parse_program --------------------------------------------------------
