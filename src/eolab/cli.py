@@ -5,11 +5,16 @@ or parse error, 3 space exhausted / antichain unavailable, 4 enumeration
 insufficient or arithmetic overflow, 5 node budget exceeded, 6 internal
 error (a bug: any other exception).  Output goes to stdout, diagnostics
 to stderr; identical invocations produce byte-identical output.
+
+``main`` may be called any number of times in one process.  The argument
+parser is built on the first call and reused by every later one; each call
+looks its subcommand's handler up by name.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -77,7 +82,7 @@ def _dump_json(obj) -> str:
 
 
 def _fmt_seq(values) -> str:
-    return ",".join(str(v) for v in values)
+    return ",".join(map(str, values))
 
 
 def _join_pairs(ranks, ascending: bool, tokens: list[str], opening: str, sep: str) -> str:
@@ -171,15 +176,21 @@ def _chain_output(patterns, n: int, key: str, fmt: str) -> str:
 def _cmd_poset(args) -> tuple[int, str]:
     if args.chain:
         chain = max_chain(args.n, cap=args.cap)
-        return EXIT_OK, _chain_output(chain.patterns, args.n, "chain", args.format)
-    if args.antichain is not None:
+        stats = {"nodes": len(chain), "coverEdges": len(chain) - 1}
+        output = _chain_output(chain.patterns, args.n, "chain", args.format)
+    elif args.antichain is not None:
         if args.antichain < 2:
             raise UsageError("--antichain size must be >= 2")
         antichain = sample_antichain(args.n, args.antichain, cap=args.cap)
-        return EXIT_OK, _chain_output(
-            antichain.sorted_patterns(), args.n, "antichain", args.format
-        )
-    return EXIT_OK, export(build_poset(args.n, cap=args.cap), args.format)
+        stats = {"nodes": len(antichain), "coverEdges": 0, **antichain.stats}
+        output = _chain_output(antichain.sorted_patterns(), args.n, "antichain", args.format)
+    else:
+        poset = build_poset(args.n, cap=args.cap)
+        stats = {"nodes": len(poset.nodes), "coverEdges": len(poset.hasse)}
+        output = export(poset, args.format)
+    if args.stats:
+        sys.stderr.write(_dump_json(stats))
+    return EXIT_OK, output
 
 
 def _run_stats(prog, trace) -> dict:
@@ -275,6 +286,8 @@ def _suite_report(args):
 
 def _cmd_check(args) -> tuple[int, str]:
     report = _suite_report(args)
+    if args.stats:
+        sys.stderr.write(_dump_json({"checked": report.checked, "failures": len(report.failures)}))
     code = EXIT_OK if report.passed else EXIT_SUITE_FAILURE
     if args.format == "json":
         return code, _dump_json(report.to_json())
@@ -295,7 +308,9 @@ def _cmd_check(args) -> tuple[int, str]:
 # --- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="eolab",
         description="Workbench for enumeration-order relations on finite listing prefixes.",
@@ -309,14 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
         "pattern", parents=[fmt], help="pattern, ascents and inversions of a sequence"
     )
     p_pattern.add_argument("sequence", help="comma-separated distinct naturals")
-    p_pattern.set_defaults(handler=_cmd_pattern)
 
     p_cmp = sub.add_parser(
         "cmp", parents=[fmt], help="compare two equal-length sequences"
     )
     p_cmp.add_argument("--left", required=True)
     p_cmp.add_argument("--right", required=True)
-    p_cmp.set_defaults(handler=_cmd_cmp)
 
     p_poset = sub.add_parser("poset", help="pattern poset, chains and antichains")
     p_poset.add_argument("--n", type=int, required=True)
@@ -325,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_poset.add_mutually_exclusive_group()
     group.add_argument("--chain", action="store_true", help="emit a maximum chain")
     group.add_argument("--antichain", type=int, metavar="SIZE")
-    p_poset.set_defaults(handler=_cmd_poset)
 
     p_run = sub.add_parser(
         "run", parents=[fmt], help="dovetail a program, optionally rescheduled"
@@ -338,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--window", type=int, default=1)
     p_run.add_argument("--choices", help="comma-separated buffer choices (explicit)")
-    p_run.add_argument(
-        "--stats", action="store_true", help="print the dovetailer's counters as JSON on stderr"
-    )
-    p_run.set_defaults(handler=_cmd_run)
 
     p_search = sub.add_parser(
         "search", parents=[fmt], help="bounded witness search between two programs"
@@ -353,10 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--relation", choices=["eo", "uniform"], default="eo")
     p_search.add_argument("--max-nodes", type=int, default=100_000, dest="max_nodes")
     p_search.add_argument("--round-cap", type=int, default=1000, dest="round_cap")
-    p_search.add_argument(
-        "--stats", action="store_true", help="print the search's counters as JSON on stderr"
-    )
-    p_search.set_defaults(handler=_cmd_search)
 
     p_check = sub.add_parser(
         "check", parents=[fmt], help="run an exhaustive oracle suite"
@@ -368,8 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--n", type=int, required=True)
     p_check.add_argument("--support", help="comma-separated naturals (theorem3 only)")
-    p_check.set_defaults(handler=_cmd_check)
 
+    for p_sub, counts in (
+        (p_poset, "node, edge and search counts"),
+        (p_run, "the dovetailer's counters"),
+        (p_search, "the search's counters"),
+        (p_check, "the suite's counts"),
+    ):
+        p_sub.add_argument("--stats", action="store_true", help=f"print {counts} as JSON on stderr")
     return parser
 
 
@@ -380,7 +390,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, output = args.handler(args)
+        code, output = globals()[f"_cmd_{args.command}"](args)
     except NoAntichainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE

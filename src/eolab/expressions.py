@@ -160,6 +160,9 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent.  Each method returns ``(node, height)``, so a tree
+    over ``MAX_DEPTH`` levels is rejected at its first node that deep."""
+
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.at = 0
@@ -173,17 +176,24 @@ class _Parser:
         self.at += 1
         return tok
 
-    def factor(self) -> _ArithNode:
+    @staticmethod
+    def join(kind, op: str, left: tuple, right: tuple) -> tuple:
+        height = max(left[1], right[1]) + 1
+        if height > MAX_DEPTH:
+            raise ExpressionSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 1)
+        return kind(op, left[0], right[0]), height
+
+    def factor(self) -> tuple[_ArithNode, int]:
         tok = self.advance()
         if tok.kind == "nat":
             # Length first: int() refuses strings of more than 4,300 digits.
             digits = tok.text.lstrip("0") or "0"
             if len(digits) > len(str(MAX_VALUE)) or int(digits) > MAX_VALUE:
                 raise ExpressionSyntaxError(f"literal {tok.text} exceeds 64 bits", tok.position)
-            return _Nat(int(digits))
+            return _Nat(int(digits)), 1
         if tok.kind == "ident":
             if tok.text == "i":
-                return _Var()
+                return _Var(), 1
             if tok.text in _KEYWORDS:
                 raise ExpressionSyntaxError(f"unexpected keyword {tok.text!r}", tok.position)
             raise UnknownIdentifierError(tok.text, tok.position)
@@ -199,64 +209,52 @@ class _Parser:
             return inner
         raise ExpressionSyntaxError(f"expected a natural, 'i' or '(' but found {tok.text or 'end of input'!r}", tok.position)
 
-    def term(self) -> _ArithNode:
+    def term(self) -> tuple[_ArithNode, int]:
         node = self.factor()
         while True:
             tok = self.peek()
             if (tok.kind == "op" and tok.text == "*") or (tok.kind == "ident" and tok.text == "mod"):
                 self.advance()
-                node = _Arith("mod" if tok.text == "mod" else "*", node, self.factor())
+                node = self.join(_Arith, "mod" if tok.text == "mod" else "*", node, self.factor())
             else:
                 return node
 
-    def expr(self) -> _ArithNode:
+    def expr(self) -> tuple[_ArithNode, int]:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in ("+", "-"):
             op = self.advance().text
-            node = _Arith(op, node, self.term())
+            node = self.join(_Arith, op, node, self.term())
         return node
 
-    def comparison(self) -> _Compare:
+    def comparison(self) -> tuple[_Compare, int]:
         left = self.expr()
         tok = self.peek()
         if tok.kind == "op" and tok.text in _CMP_OPS:
             self.advance()
-            return _Compare(tok.text, left, self.expr())
+            return self.join(_Compare, tok.text, left, self.expr())
         raise GuardTypeError(
             f"guard requires a comparison (==, !=, <, <=) but found "
             f"{tok.text or 'end of input'!r} at position {tok.position}"
         )
 
-    def conj(self) -> _BoolNode:
+    def conj(self) -> tuple[_BoolNode, int]:
         node = self.comparison()
         while self.peek().kind == "ident" and self.peek().text == "and":
             self.advance()
-            node = _Logic("and", node, self.comparison())
+            node = self.join(_Logic, "and", node, self.comparison())
         return node
 
-    def guard(self) -> _BoolNode:
+    def guard(self) -> tuple[_BoolNode, int]:
         node = self.conj()
         while self.peek().kind == "ident" and self.peek().text == "or":
             self.advance()
-            node = _Logic("or", node, self.conj())
+            node = self.join(_Logic, "or", node, self.conj())
         return node
 
     def expect_end(self) -> None:
         tok = self.peek()
         if tok.kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing {tok.text!r}", tok.position)
-
-
-def _check_depth(root: Union[_ArithNode, _BoolNode]) -> None:
-    # Iterative, so a left-deep chain of thousands of terms is measured
-    # without the recursion that evaluating it would need.
-    stack = [(root, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > MAX_DEPTH:
-            raise ExpressionSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 1)
-        if isinstance(node, (_Arith, _Compare, _Logic)):
-            stack += ((node.left, depth + 1), (node.right, depth + 1))
 
 
 # --- compilation ----------------------------------------------------------
@@ -438,15 +436,13 @@ class GuardExpr:
 
 def parse_arith(source: str) -> ArithExpr:
     parser = _Parser(source)
-    root = parser.expr()
+    root, _ = parser.expr()
     parser.expect_end()
-    _check_depth(root)
     return ArithExpr(source, root, _compile_arith(root, source))
 
 
 def parse_guard(source: str) -> GuardExpr:
     parser = _Parser(source)
-    root = parser.guard()
+    root, _ = parser.guard()
     parser.expect_end()
-    _check_depth(root)
     return GuardExpr(source, root, _compile_bool(root, source))

@@ -115,9 +115,11 @@ class Chain:
 
 @dataclass(frozen=True)
 class Antichain:
-    """A set of pairwise eo-incomparable patterns."""
+    """A set of pairwise eo-incomparable patterns; ``stats`` counts the search
+    that found it, if any."""
 
     patterns: frozenset[OrderPattern]
+    stats: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "patterns", frozenset(self.patterns))
@@ -164,7 +166,8 @@ def sample_antichain(n: int, size: int, cap: int = HARD_CAP) -> Antichain:
     Depth-first scan in lexicographic node order with backtracking, so
     an antichain is found whenever one exists; raises NoAntichainError
     otherwise (e.g. n <= 2, where the poset is a chain).  A branch stops
-    once fewer allowed candidates remain than are still needed.
+    once fewer allowed candidates remain than are still needed.  ``stats``
+    counts the comparability masks built and the branches (candidates) tried.
     """
     _check_n(n, cap)
     if size < 2:
@@ -172,12 +175,15 @@ def sample_antichain(n: int, size: int, cap: int = HARD_CAP) -> Antichain:
     nodes = all_patterns(n, cap)
     masks = [p.ascent_mask for p in nodes]
     comparable: dict[int, int] = {}  # node index -> bits of the nodes comparable to it
+    branches = 0
 
     def extend(allowed: int, need: int) -> list[int] | None:
         # ``allowed``: bits of the later nodes incomparable with every chosen one.
+        nonlocal branches
         if need == 0:
             return []
         while allowed.bit_count() >= need:
+            branches += 1
             lowest = allowed & -allowed
             allowed ^= lowest
             idx = lowest.bit_length() - 1
@@ -193,7 +199,8 @@ def sample_antichain(n: int, size: int, cap: int = HARD_CAP) -> Antichain:
     found = extend((1 << len(nodes)) - 1, size)
     if found is None:
         raise NoAntichainError(f"no antichain of size {size} among length-{n} patterns")
-    return Antichain(frozenset(nodes[i] for i in found))
+    stats = {"comparabilityMasks": len(comparable), "branches": branches}
+    return Antichain(frozenset(nodes[i] for i in found), stats=stats)
 
 
 def _label(p: OrderPattern) -> str:

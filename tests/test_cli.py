@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eolab.cli import MAX_PATTERN_LENGTH, main
+from eolab.cli import MAX_PATTERN_LENGTH, build_parser, main
 from eolab.oracle import brute_force_pair_sets
 from eolab.patterns import pattern_of
 
@@ -226,6 +226,25 @@ def test_poset_chain_json(capsys):
     doc = json.loads(out)
     assert len(doc["chain"]) == 7
     assert doc["n"] == 4
+
+
+@pytest.mark.parametrize(
+    "mode,stats",
+    [
+        ([], {"nodes": 24, "coverEdges": 36}),
+        (["--chain"], {"nodes": 7, "coverEdges": 6}),
+        (["--antichain", "5"],
+         {"nodes": 5, "coverEdges": 0, "comparabilityMasks": 15, "branches": 42}),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_poset_stats_leave_stdout_alone(capsys, mode, stats, fmt):
+    argv = ["poset", "--n", "4", *mode, "--format", fmt]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    code_stats, out_stats, err_stats = invoke(capsys, *argv, "--stats")
+    assert (code_stats, out_stats) == (code, out)
+    assert err_stats.count("\n") == 1 and json.loads(err_stats) == stats
 
 
 # --- run ----------------------------------------------------------------------
@@ -596,6 +615,16 @@ def test_check_json(capsys):
     assert doc["failures"] == []
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_stats_leave_stdout_alone(capsys, fmt):
+    argv = ["check", "--suite", "hasse", "--n", "3", "--format", fmt]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    code_stats, out_stats, err_stats = invoke(capsys, *argv, "--stats")
+    assert (code_stats, out_stats) == (code, out)
+    assert err_stats == '{"checked":37,"failures":0}\n'
+
+
 # --- protocol-level behavior --------------------------------------------------------
 
 
@@ -640,6 +669,48 @@ def test_unexpected_exception_exit_6(capsys, monkeypatch):
 
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_shared_parser_leaks_no_state(capsys):
+    """Calls through the one cached parser answer as a freshly built one does,
+    in any order."""
+    assert build_parser() is build_parser()
+    search = ["search", "--a", prog("evens"), "--b", prog("countdown"), "--k", "3",
+              "--window", "2"]
+    argvs = [
+        ["pattern", "5,2,9"],
+        ["pattern", "5,2,9", "--format", "json"],
+        ["cmp", "--left", "0,2,1", "--right", "1,0,2"],
+        ["cmp", "--left", "0,2,1", "--right", "1,0,2", "--format", "json"],
+        ["poset", "--n", "3", "--chain"],
+        ["poset", "--n", "3", "--antichain", "2", "--format", "json", "--stats"],
+        ["poset", "--n", "3", "--format", "dot"],
+        ["poset", "--n", "3", "--chain", "--antichain", "2"],
+        ["run", "--program", prog("evens"), "--k", "4", "--stats"],
+        ["run", "--program", prog("odds_fast"), "--k", "4", "--schedule", "min_first",
+         "--window", "2", "--format", "json"],
+        [*search, "--stats"],
+        [*search, "--relation", "uniform", "--format", "json"],
+        ["check", "--suite", "hasse", "--n", "3", "--stats"],
+        ["check", "--suite", "theorem3", "--n", "3", "--format", "json"],
+        ["run", "--k", "4"],
+        ["pattern", "1,2", "--bogus"],
+        ["frobnicate"],
+        [],
+        ["--help"],
+        *([command, "--help"] for command in ("pattern", "cmp", "poset", "run", "search", "check")),
+    ]
+
+    def answer(argv):
+        return (main(list(argv)), *capsys.readouterr())
+
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(answer(argv))
+    assert {code for code, _, _ in fresh} == {0, 2}
+    assert [answer(argv) for argv in argvs] == fresh
+    assert [answer(argv) for argv in reversed(argvs)] == fresh[::-1]
 
 
 @pytest.mark.parametrize(

@@ -141,6 +141,18 @@ def test_depth_limit_boundary():
         parse_guard(" or ".join(["i == 1"] * MAX_DEPTH))
 
 
+def test_depth_error_precedes_later_syntax_errors():
+    """The parser stops at the first node over MAX_DEPTH, so text after it,
+    however malformed, is never parsed."""
+    too_deep = "+".join(["i"] * (MAX_DEPTH + 1))
+    message = f"expression nests deeper than {MAX_DEPTH} levels (at position 1)"
+    for parse, source in ((parse_arith, too_deep + " )"), (parse_arith, too_deep + " + j"),
+                          (parse_guard, " or ".join(["i == 1"] * MAX_DEPTH) + " or")):
+        with pytest.raises(ExpressionSyntaxError) as caught:
+            parse(source)
+        assert str(caught.value) == message
+
+
 def _evaluation(evaluate, i):
     try:
         return evaluate(i)
