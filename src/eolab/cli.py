@@ -63,6 +63,9 @@ _SEARCH_EXITS = {
 #: ``pattern`` prints all n(n-1)/2 index pairs, about 92 MB of text at this length.
 MAX_PATTERN_LENGTH = 4000
 
+#: Most digits an element may have, leading zeros aside.
+_MAX_ELEMENT_DIGITS = len(str(MAX_ELEMENT))
+
 
 class UsageError(ValueError):
     pass
@@ -72,7 +75,7 @@ def _parse_naturals(text: str, what: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
     for part in parts:
         # int() rejects digits such as '²', and strings of over 4,300 digits.
-        if not part.isdecimal() or len(part.lstrip("0")) > len(str(MAX_ELEMENT)):
+        if not part.isdecimal() or len(part.lstrip("0")) > _MAX_ELEMENT_DIGITS:
             raise UsageError(f"{what}: expected comma-separated naturals, got {part!r}")
     return tuple(map(int, parts))
 

@@ -30,10 +30,18 @@ B once per complete A prefix.  It rests on these facts:
   node at depth t carries B's frontier F_t, the B prefixes of length t
   still valid against A's first t outputs; sibling A nodes share it, and
   the literal walk spends sum over t of |F_t| * c_t B nodes on each leaf.
-  Frontiers are filled depth-first along A's first choices, so finding
-  a leaf that holds a witness costs about what walking it literally
-  does, however large its frontiers would grow.  They hold at most one
-  B prefix per B test, so never more than max_nodes prefixes.
+- F_{t+1} depends only on F_t and on the earlier outputs that bound B's
+  output t, which A's first t + 1 values select.  Each complete frontier
+  is interned under its parent's id and those bounds, so A prefixes that
+  select the same bounds chain (different picks in the same relative
+  order, say) share it, and its B nodes are charged, not tested again.
+  Below the deepest shared level, frontiers are filled depth-first along
+  A's first choices, so finding a leaf that holds a witness costs about
+  what walking it literally does, however large its frontiers would grow.
+- Each B prefix kept comes from one B test of a fill.  A fill tests B
+  nodes of its own leaf, no two fills share a leaf, and a fill stops
+  before the count so far plus its leaf's B nodes pass max_nodes, so the
+  fills test, and the frontiers hold, at most max_nodes in all.
 - Once a frontier is empty, no leaf below holds a witness and each costs
   the same B nodes; the subtree's A nodes and leaves depend on its depth
   only, so it is counted in closed form.
@@ -161,9 +169,11 @@ def _walk(
     and, for every complete A prefix, B's) and, with a witness, A's and
     B's choices.  A dict passed as ``stats`` receives the counters:
     ``nodesExplored``; ``bTests``, the B candidates tested while filling
-    frontiers or walking the one literal leaf; ``aNodes``, the A nodes
-    placed one by one; ``closedFormSubtrees``, the A subtrees (single
-    leaves included) counted in closed form; and ``literalLeafWalk``.
+    frontiers, at most max_nodes; ``frontierHits``, the frontier levels
+    read from the interned ones; ``aNodes``, the A nodes placed one by
+    one; ``closedFormSubtrees``, the A subtrees (single leaves included)
+    counted in closed form; and ``literalLeafWalk``, whose B nodes count
+    in ``nodesExplored`` alone.
     """
     k, max_nodes = budget.k, budget.max_nodes
     limits = [min(t + budget.window, k) for t in range(k)]
@@ -178,13 +188,18 @@ def _walk(
     incoming = [(native_b[limit],) if limit < k else () for limit in limits]
     top = max(native_a + native_b) + 1  # above every value
     # A frontier element is (B's buffer at its depth, B's last value, parent).
-    frontiers = [[(tuple(native_b[: limits[0]]), None, None)]] + [[] for _ in range(k - 1)]
+    # Slot k stays empty: no B prefix is kept past the last output.
+    frontiers = [[(tuple(native_b[: limits[0]]), None, None)]] + [[] for _ in range(k)]
+    # Complete frontiers by the bounds chain that selects them:
+    # (id of F_u, *bounds(u)) -> (id of F_{u+1}, F_{u+1}); F_0 has id 0.
+    interned: dict = {}
+    ids = [0] * (k + 1)  # ids of the frontiers along A's current path
     partial = [0] * (k + 1)  # B nodes each leaf below a depth spends above it
     pick, value, used = [-1] * k, [0] * k, bytearray(k)
     # B values above the element being expanded; slots k and k + 1 hold
     # -1 and top, so a missing bound is one more index.
     bvalue = [0] * k + [-1, top]
-    tally = {"aNodes": 0, "bTests": 0, "closedFormSubtrees": 0, "literalLeafWalk": False}
+    tally = dict(aNodes=0, bTests=0, frontierHits=0, closedFormSubtrees=0, literalLeafWalk=False)
 
     def bounds(u: int) -> tuple[tuple[int, ...], int, int]:
         # The earlier outputs whose B values bound B's output u: the
@@ -211,14 +226,29 @@ def _walk(
         return (pred,), succ, min(pred, succ)
 
     def fill(d: int) -> int | None:
-        # Refill frontiers d+1.. depth-first along A's first choices
-        # below depth d.  Returns the shallowest depth whose frontier is
-        # empty, or None when that leaf holds a witness or its walk
-        # would pass the budget.
+        # Refill frontiers d+1.. along A's first choices below depth d:
+        # first those interned for this bounds chain, their B nodes
+        # charged as if tested, then depth-first.  Returns the shallowest
+        # depth whose frontier is empty, or None when that leaf holds a
+        # witness or its walk would pass the budget.
+        slack = max_nodes - count - (k - d - 1)  # B nodes the leaf may spend
+        marks, empty = [None] * k, None
+        while True:
+            marks[d] = bounds(d)
+            hit = interned.get((ids[d], *marks[d]))
+            if hit is None:
+                break
+            tally["frontierHits"] += 1
+            ids[d + 1], frontiers[d + 1] = hit
+            partial[d + 1] = partial[d] + len(frontiers[d]) * widths[d]
+            d += 1
+            if partial[d] > slack:
+                return None
+            if not frontiers[d]:
+                return d
+        room, spent = slack - partial[d], 0
         for u in range(d + 1, k):
             frontiers[u] = []
-        room = max_nodes - count - (k - d - 1) - partial[d]
-        spent, marks, empty = 0, [None] * k, None
         stack = [(e, d) for e in reversed(frontiers[d])]
         while stack:
             e, u = stack.pop()
@@ -247,7 +277,9 @@ def _walk(
         else:
             for empty in range(d + 1, k + 1):
                 partial[empty] = partial[empty - 1] + len(frontiers[empty - 1]) * widths[empty - 1]
-                if empty == k or not frontiers[empty]:
+                ids[empty] = len(interned) + 1
+                interned[(ids[empty - 1], *marks[empty - 1])] = ids[empty], frontiers[empty]
+                if not frontiers[empty]:
                     break
         tally["bTests"] += spent
         return empty
@@ -284,7 +316,6 @@ def _walk(
             if count > max_nodes:
                 return finish("budget_exceeded", max_nodes)
             nodes, picks_b = _leaf_walk(value, native_b, limits, relation, count, max_nodes)
-            tally["bTests"] += nodes - count
             if picks_b is None:
                 return finish("budget_exceeded", nodes)
             return finish("witness_found", nodes, (_ranks(pick, limits), _ranks(picks_b, limits)))

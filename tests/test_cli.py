@@ -643,7 +643,8 @@ def test_search_stats_leave_stdout_alone(capsys, fmt):
     assert err_stats.count("\n") == 1
     assert json.loads(err_stats) == {
         "nodesExplored": 24_595,
-        "bTests": 3_478,
+        "bTests": 1_013,
+        "frontierHits": 234,
         "aNodes": 317,
         "closedFormSubtrees": 202,
         "literalLeafWalk": False,

@@ -208,11 +208,15 @@ def test_search_report_matches_recursive_reference(pair, relation):
 
 
 @st.composite
-def walk_cases(draw):
-    k = draw(st.integers(1, 8))
+def walk_cases(draw, opposed=False):
+    k = draw(st.integers(3 if opposed else 1, 8))
     natives = st.lists(st.integers(0, 3 * k), min_size=k, max_size=k, unique=True).map(tuple)
     b = SearchBudget(k=k, window=draw(st.integers(1, 5)), max_nodes=draw(st.integers(1, 5_000)))
-    return draw(natives), draw(natives), b, draw(st.sampled_from(RELATIONS))
+    native_a, native_b, relation = draw(natives), draw(natives), draw(st.sampled_from(RELATIONS))
+    if opposed:  # one side rising, the other falling
+        falling = draw(st.booleans())
+        native_a, native_b = sorted(native_a, reverse=falling), sorted(native_b, reverse=not falling)
+    return tuple(native_a), tuple(native_b), b, relation
 
 
 @settings(max_examples=300, deadline=None)
@@ -223,6 +227,21 @@ def test_walk_matches_recursive_reference_on_generated_natives(case):
     found, budget_hit = searcher.run()
     status = "budget_exceeded" if budget_hit else "witness_found" if found else "space_exhausted"
     assert _walk(native_a, native_b, b, relation) == (status, searcher.nodes, found)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases(opposed=True))
+def test_walk_with_shared_frontiers_matches_recursive_reference(case):
+    # Rising against falling natives, where many of A's reorderings
+    # select bounds chains already seen and share their frontiers.
+    native_a, native_b, b, relation = case
+    searcher = _Searcher(native_a, native_b, b, relation)
+    found, budget_hit = searcher.run()
+    status = "budget_exceeded" if budget_hit else "witness_found" if found else "space_exhausted"
+    stats = {}
+    assert _walk(native_a, native_b, b, relation, stats=stats) == (status, searcher.nodes, found)
+    # Every B prefix the frontiers keep comes from one B test.
+    assert stats["bTests"] <= b.max_nodes
 
 
 @pytest.mark.parametrize("k,w", [(6, 4), (7, 3), (7, 4), (8, 3)])
