@@ -290,7 +290,12 @@ def _suite_report(args):
 def _cmd_check(args) -> tuple[int, str]:
     report = _suite_report(args)
     if args.stats:
-        sys.stderr.write(_dump_json({"checked": report.checked, "failures": len(report.failures)}))
+        stats = {
+            "checked": report.checked,
+            "failures": len(report.failures),
+            "relationTests": report.relation_tests,
+        }
+        sys.stderr.write(_dump_json(stats))
     code = EXIT_OK if report.passed else EXIT_SUITE_FAILURE
     if args.format == "json":
         return code, _dump_json(report.to_json())

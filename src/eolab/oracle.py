@@ -1,10 +1,14 @@
 """Brute-force ground truth for every relation and structure.
 
 Everything in this module recomputes its answer from the rawest form of
-the definitions — quantified double loops over index pairs, reachability
-scans, unpruned cross products — and shares no relation code with the
-modules it validates.  Agreement between an oracle suite and the
-corresponding fast path is what the acceptance tests certify.
+the definitions — quantified double loops over index pairs, unpruned
+cross products — and shares no relation code with the modules it
+validates.  Agreement between an oracle suite and the corresponding fast
+path is what the acceptance tests certify.  The pattern-pair suites
+evaluate the relation once per ordered pair with the direct loop, keep
+the verdicts as bit rows (row p holds bit q iff p <= q), and read the
+laws off the rows; a report's ``checked`` counts cases decided, not loop
+iterations.
 
 Suites are exhaustive, so each has a hard size cap stated in its
 precondition and enforced with an error; silent truncation would make a
@@ -48,12 +52,14 @@ class OracleCapError(ValueError):
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Outcome of one exhaustive suite: empty failures means it passed."""
+    """Outcome of one exhaustive suite: empty failures means it passed.
+    ``relation_tests`` (not in the JSON) counts direct-loop evaluations."""
 
     suite: str
     params: dict
     checked: int
     failures: tuple[dict, ...]
+    relation_tests: int
 
     @property
     def passed(self) -> bool:
@@ -103,50 +109,52 @@ def _require(condition: bool, message: str) -> None:
         raise OracleCapError(message)
 
 
+def _leq_rows(perms) -> list[int]:
+    # Row a holds bit b iff perms[a] <= perms[b] by the direct loop: one
+    # literal evaluation per ordered pair, kept only for this call.
+    return [sum(1 << b for b, q in enumerate(perms) if _direct_leq(p, q)) for p in perms]
+
+
+def _bits(mask: int):
+    # The set bits of mask, ascending.
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def check_preorder_laws(n: int) -> OracleReport:
     """Reflexivity, transitivity, antisymmetry of the direct relation.
 
-    Cap n <= 5: the transitivity scan is a full n!**3 triple loop.
+    The laws are read off the relation's bit rows: the transitivity
+    failures (p, q, r) for p <= q are the patterns r in q's row but not in
+    p's.  ``checked`` counts the cases decided, m + m**3 + m**2 for
+    m = n!, not loop iterations.  Cap n <= 5.
     """
     _require(1 <= n <= 5, f"preorder suite caps at n=5, got {n}")
     perms = list(itertools.permutations(range(n)))
     m = len(perms)
-    table = [[_direct_leq(p, q) for q in perms] for p in perms]
+    rows = _leq_rows(perms)
     failures: list[dict] = []
 
     for a in range(m):
-        if not table[a][a]:
+        if not rows[a] >> a & 1:
             failures.append({"law": "reflexivity", "p": list(perms[a])})
 
     for a in range(m):
-        row_a = table[a]
-        for b in range(m):
-            ab = row_a[b]
-            row_b = table[b]
-            for c in range(m):
-                if ab and row_b[c] and not row_a[c]:
-                    failures.append(
-                        {
-                            "law": "transitivity",
-                            "p": list(perms[a]),
-                            "q": list(perms[b]),
-                            "r": list(perms[c]),
-                        }
-                    )
+        for b in _bits(rows[a]):
+            for c in _bits(rows[b] & ~rows[a]):
+                failures.append({"law": "transitivity", "p": list(perms[a]),
+                                 "q": list(perms[b]), "r": list(perms[c])})
 
     for a in range(m):
-        for b in range(m):
-            if table[a][b] and table[b][a] and a != b:
+        for b in _bits(rows[a]):
+            if rows[b] >> a & 1 and a != b:
                 failures.append(
                     {"law": "antisymmetry", "p": list(perms[a]), "q": list(perms[b])}
                 )
 
-    return OracleReport(
-        suite="preorder",
-        params={"n": n},
-        checked=m + m**3 + m**2,
-        failures=tuple(failures),
-    )
+    return OracleReport("preorder", {"n": n}, m + m**3 + m**2, tuple(failures), relation_tests=m * m)
 
 
 def check_inversion_equiv(n: int) -> OracleReport:
@@ -165,42 +173,36 @@ def check_inversion_equiv(n: int) -> OracleReport:
             failures.append(
                 {"p": list(p), "q": list(q), "direct": direct, "containment": contained}
             )
-    return OracleReport(
-        suite="inversion",
-        params={"n": n},
-        checked=len(perms) ** 2,
-        failures=tuple(failures),
-    )
+    m = len(perms)
+    return OracleReport("inversion", {"n": n}, m * m, tuple(failures), relation_tests=m * m)
 
 
 def check_theorem10(n: int) -> OracleReport:
     """Two-sided reducibility, uniformity, and equality must coincide.
 
     All five available computations of the equivalence — direct loops
-    both ways, the direct biconditional, the module's eo_equiv and
-    uniform — are compared against plain pattern equality, for every
-    ordered pair.  Cap n <= 6.
+    both ways (read off the bit rows), the direct biconditional, the
+    module's eo_equiv and uniform — are compared against plain pattern
+    equality, for every ordered pair.  Cap n <= 6.
     """
     _require(1 <= n <= 6, f"theorem10 suite caps at n=6, got {n}")
     perms = list(itertools.permutations(range(n)))
+    m = len(perms)
     objects = [fast.OrderPattern(p) for p in perms]
+    rows = _leq_rows(perms)
     failures = []
-    for (p, po), (q, qo) in itertools.product(zip(perms, objects), repeat=2):
-        equal = p == q
-        verdicts = {
-            "direct_two_sided": _direct_leq(p, q) and _direct_leq(q, p),
-            "direct_uniform": _direct_uniform(p, q),
-            "module_eo_equiv": fast.eo_equiv(po, qo),
-            "module_uniform": fast.uniform(po, qo),
-        }
-        if any(v != equal for v in verdicts.values()):
-            failures.append({"p": list(p), "q": list(q), "equal": equal, **verdicts})
-    return OracleReport(
-        suite="theorem10",
-        params={"n": n},
-        checked=len(perms) ** 2,
-        failures=tuple(failures),
-    )
+    for a, (p, po, row_a) in enumerate(zip(perms, objects, rows)):
+        for b, (q, qo, row_b) in enumerate(zip(perms, objects, rows)):
+            equal = p == q
+            two_sided = row_a >> b & 1 == 1 and row_b >> a & 1 == 1
+            direct_uniform = _direct_uniform(p, q)
+            eo_equiv = fast.eo_equiv(po, qo)
+            uniform = fast.uniform(po, qo)
+            if not equal == two_sided == direct_uniform == eo_equiv == uniform:
+                failures.append({"p": list(p), "q": list(q), "equal": equal,
+                                 "direct_two_sided": two_sided, "direct_uniform": direct_uniform,
+                                 "module_eo_equiv": eo_equiv, "module_uniform": uniform})
+    return OracleReport("theorem10", {"n": n}, m * m, tuple(failures), relation_tests=2 * m * m)
 
 
 def check_theorem3_finite(n: int, support: Iterable[int]) -> OracleReport:
@@ -208,10 +210,13 @@ def check_theorem3_finite(n: int, support: Iterable[int]) -> OracleReport:
 
     For each of the n! patterns, the arrangement of ``support`` built by
     apply_pattern must be positionwise order-isomorphic to the pattern
-    itself (checked by the direct biconditional loop).  Cap n <= 6.
+    itself (checked by the direct biconditional loop).  A repeated support
+    value raises DuplicateElementError.  Cap n <= 6.
     """
     _require(1 <= n <= 6, f"theorem3 suite caps at n=6, got {n}")
-    support_values = sorted(set(support))
+    support_values = list(support)
+    fast._require_distinct(support_values)
+    support_values.sort()
     _require(
         len(support_values) == n,
         f"support must hold exactly {n} distinct naturals, got {support_values}",
@@ -221,35 +226,30 @@ def check_theorem3_finite(n: int, support: Iterable[int]) -> OracleReport:
         realized = fast.apply_pattern(fast.OrderPattern(p), support_values)
         if not _direct_uniform(p, realized.elements):
             failures.append({"pattern": list(p), "realized": realized.to_json()})
-    return OracleReport(
-        suite="theorem3",
-        params={"n": n, "support": support_values},
-        checked=math.factorial(n),
-        failures=tuple(failures),
-    )
+    m = math.factorial(n)
+    params = {"n": n, "support": support_values}
+    return OracleReport("theorem3", params, m, tuple(failures), relation_tests=m)
 
 
 def check_hasse(n: int) -> OracleReport:
-    """Poset cover edges vs a reachability-based transitive reduction.
+    """Poset cover edges vs the transitive reduction of the direct relation.
 
-    The oracle recomputes the relation with the direct loop and keeps an
-    edge (p, q) iff nothing lies strictly between; the poset module's
-    hasse must match exactly, and the edge count must equal
-    (n-1) * n! / 2.  Cap n <= 5.
+    On the relation's bit rows with the diagonal cleared, the oracle keeps
+    an edge (p, q) iff q is in p's row and in no row of a pattern in p's
+    row; the poset module's hasse must match exactly, and the edge count
+    must equal (n-1) * n! / 2.  ``checked`` counts the ordered pairs
+    decided plus the count check.  Cap n <= 5.
     """
     _require(1 <= n <= 5, f"hasse suite caps at n=5, got {n}")
     perms = list(itertools.permutations(range(n)))
-    strict = {
-        (p, q)
-        for p in perms
-        for q in perms
-        if p != q and _direct_leq(p, q)
-    }
-    reduction = {
-        (p, q)
-        for (p, q) in strict
-        if not any((p, r) in strict and (r, q) in strict for r in perms)
-    }
+    m = len(perms)
+    strict = [row & ~(1 << a) for a, row in enumerate(_leq_rows(perms))]
+    reduction = set()
+    for a, above in enumerate(strict):
+        beyond = 0
+        for r in _bits(above):
+            beyond |= strict[r]
+        reduction.update((perms[a], perms[b]) for b in _bits(above & ~beyond))
 
     poset = build_poset(n)
     module_edges = {
@@ -270,12 +270,7 @@ def check_hasse(n: int) -> OracleReport:
                 "actual": len(module_edges),
             }
         )
-    return OracleReport(
-        suite="hasse",
-        params={"n": n},
-        checked=len(perms) ** 2 + 1,
-        failures=tuple(failures),
-    )
+    return OracleReport("hasse", {"n": n}, m * m + 1, tuple(failures), relation_tests=m * m)
 
 
 def brute_force_antichain(n: int, size: int) -> tuple[tuple[int, ...], ...]:

@@ -274,6 +274,15 @@ def incomparable(p: OrderPattern, q: OrderPattern) -> bool:
     return not eo_leq(p, q) and not eo_leq(q, p)
 
 
+def _require_distinct(values: Sequence[int]) -> None:
+    """Raise DuplicateElementError at the first value that repeats an earlier one."""
+    seen: dict[int, int] = {}
+    for pos, value in enumerate(values):
+        if value in seen:
+            raise DuplicateElementError(value, seen[value], pos)
+        seen[value] = pos
+
+
 def apply_pattern(p: OrderPattern, support: Iterable[int]) -> ListingPrefix:
     """The unique arrangement of ``support`` whose pattern is ``p``.
 
@@ -284,11 +293,7 @@ def apply_pattern(p: OrderPattern, support: Iterable[int]) -> ListingPrefix:
     (8, 4, 15)
     """
     values = list(support)
-    seen: dict[int, int] = {}
-    for pos, value in enumerate(values):
-        if value in seen:
-            raise DuplicateElementError(value, seen[value], pos)
-        seen[value] = pos
+    _require_distinct(values)
     if len(values) != len(p):
         raise LengthMismatchError(len(p), len(values))
     ordered = sorted(values)

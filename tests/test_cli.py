@@ -595,6 +595,18 @@ def test_check_theorem3_with_support(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "support,message",
+    [("1,1,2,3", "duplicate element 1 at positions 0 and 1"),
+     ("5,7,9,7", "duplicate element 7 at positions 1 and 3"),
+     ("4,8,4", "duplicate element 4 at positions 0 and 2")],
+)
+def test_check_theorem3_duplicate_support_exit_2(capsys, support, message):
+    code, out, err = invoke(capsys, "check", "--suite", "theorem3", "--n", "3",
+                            "--support", support)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_check_theorem3_requires_support(capsys):
     code, _, err = invoke(capsys, "check", "--suite", "theorem3", "--n", "3")
     assert code == 2
@@ -622,7 +634,42 @@ def test_check_stats_leave_stdout_alone(capsys, fmt):
     assert (code, err) == (0, "")
     code_stats, out_stats, err_stats = invoke(capsys, *argv, "--stats")
     assert (code_stats, out_stats) == (code, out)
-    assert err_stats == '{"checked":37,"failures":0}\n'
+    assert err_stats == '{"checked":37,"failures":0,"relationTests":36}\n'
+
+
+@pytest.mark.parametrize(
+    "suite,n,relation_tests",
+    [("preorder", 4, 24**2), ("inversion", 4, 24**2), ("theorem10", 4, 2 * 24**2),
+     ("theorem3", 4, 24), ("hasse", 4, 24**2)],
+)
+def test_check_stats_relation_tests(capsys, suite, n, relation_tests):
+    support = ["--support", "1,2,3,4"] if suite == "theorem3" else []
+    _, _, err = invoke(capsys, "check", "--suite", suite, "--n", str(n), *support, "--stats")
+    assert json.loads(err)["relationTests"] == relation_tests
+
+
+def test_check_failure_exit_1(capsys, monkeypatch):
+    """A suite that finds failures exits 1 and lists them on stdout."""
+    monkeypatch.setattr("eolab.oracle._direct_leq", lambda p, q: True)
+    code, out, err = invoke(capsys, "check", "--suite", "preorder", "--n", "2")
+    assert (code, err) == (1, "")
+    assert out == (
+        "suite: preorder\nparams: n=2\nchecked: 14\nfailures: 2\n"
+        '  {"law": "antisymmetry", "p": [0, 1], "q": [1, 0]}\n'
+        '  {"law": "antisymmetry", "p": [1, 0], "q": [0, 1]}\n'
+    )
+    code, out, _ = invoke(capsys, "check", "--suite", "preorder", "--n", "2", "--format", "json")
+    assert code == 1
+    assert [f["law"] for f in json.loads(out)["failures"]] == ["antisymmetry"] * 2
+
+
+def test_check_failure_list_truncated(capsys, monkeypatch):
+    monkeypatch.setattr("eolab.patterns.uniform", lambda p, q: True)
+    code, out, _ = invoke(capsys, "check", "--suite", "theorem10", "--n", "3")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[3] == "failures: 30" and len(lines) == 4 + 20 + 1
+    assert lines[-1] == "  (+10 more)"
 
 
 # --- protocol-level behavior --------------------------------------------------------

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eolab import oracle, patterns as fast
 from eolab.expressions import EvaluationError
 from eolab.oracle import (
     OracleCapError,
@@ -72,6 +76,12 @@ def test_theorem3_support_size_enforced():
         check_theorem3_finite(3, {1, 2})
 
 
+def test_theorem3_support_repeat_rejected():
+    with pytest.raises(fast.DuplicateElementError) as exc:
+        check_theorem3_finite(3, [4, 8, 4])
+    assert (exc.value.value, exc.value.first_index, exc.value.second_index) == (4, 0, 2)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hasse_pass(n):
     report = check_hasse(n)
@@ -125,6 +135,157 @@ def test_brute_force_truncation():
 def test_determinism():
     assert check_theorem10(3) == check_theorem10(3)
     assert check_hasse(3) == check_hasse(3)
+
+
+# --- fault injection --------------------------------------------------------------
+# The suites as literal loops, the reference for the bit rows: every
+# ordered triple for transitivity, a scan over all patterns for each strict
+# pair, and every verdict recomputed per pair.  Under a broken relation or fast path, each
+# suite must report exactly what its literal loop reports, in the same order.
+
+_REAL_LEQ = oracle._direct_leq
+
+
+def _literal_preorder(n):
+    perms = list(itertools.permutations(range(n)))
+    m = len(perms)
+    table = [[oracle._direct_leq(p, q) for q in perms] for p in perms]
+    failures = []
+    for a in range(m):
+        if not table[a][a]:
+            failures.append({"law": "reflexivity", "p": list(perms[a])})
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                if table[a][b] and table[b][c] and not table[a][c]:
+                    failures.append({"law": "transitivity", "p": list(perms[a]),
+                                     "q": list(perms[b]), "r": list(perms[c])})
+    for a in range(m):
+        for b in range(m):
+            if table[a][b] and table[b][a] and a != b:
+                failures.append({"law": "antisymmetry", "p": list(perms[a]), "q": list(perms[b])})
+    return {"suite": "preorder", "params": {"n": n}, "checked": m + m**3 + m**2,
+            "failures": failures}
+
+
+def _literal_theorem10(n):
+    perms = list(itertools.permutations(range(n)))
+    objects = [fast.OrderPattern(p) for p in perms]
+    failures = []
+    for (p, po), (q, qo) in itertools.product(zip(perms, objects), repeat=2):
+        equal = p == q
+        verdicts = {
+            "direct_two_sided": oracle._direct_leq(p, q) and oracle._direct_leq(q, p),
+            "direct_uniform": oracle._direct_uniform(p, q),
+            "module_eo_equiv": fast.eo_equiv(po, qo),
+            "module_uniform": fast.uniform(po, qo),
+        }
+        if any(v != equal for v in verdicts.values()):
+            failures.append({"p": list(p), "q": list(q), "equal": equal, **verdicts})
+    return {"suite": "theorem10", "params": {"n": n}, "checked": len(perms) ** 2,
+            "failures": failures}
+
+
+def _literal_hasse(n):
+    perms = list(itertools.permutations(range(n)))
+    strict = {(p, q) for p in perms for q in perms if p != q and oracle._direct_leq(p, q)}
+    reduction = {
+        (p, q) for (p, q) in strict
+        if not any((p, r) in strict and (r, q) in strict for r in perms)
+    }
+    poset = oracle.build_poset(n)
+    module_edges = {(poset.nodes[a].ranks, poset.nodes[b].ranks) for a, b in poset.hasse}
+    failures = [{"edge": [list(p), list(q)], "missing_from": "module"}
+                for p, q in sorted(reduction - module_edges)]
+    failures += [{"edge": [list(p), list(q)], "missing_from": "oracle"}
+                 for p, q in sorted(module_edges - reduction)]
+    expected_count = (n - 1) * math.factorial(n) // 2
+    if len(module_edges) != expected_count:
+        failures.append({"check": "cover_count", "expected": expected_count,
+                         "actual": len(module_edges)})
+    return {"suite": "hasse", "params": {"n": n}, "checked": len(perms) ** 2 + 1,
+            "failures": failures}
+
+
+_SUITES = {
+    "preorder": (check_preorder_laws, _literal_preorder),
+    "theorem10": (check_theorem10, _literal_theorem10),
+    "hasse": (check_hasse, _literal_hasse),
+}
+
+
+def _flips(n, seed):
+    """A seeded set of ordered pattern pairs, some on the diagonal."""
+    rng = random.Random(seed)
+    perms = list(itertools.permutations(range(n)))
+    flips = {(rng.choice(perms), rng.choice(perms)) for _ in range(rng.randint(1, len(perms)))}
+    return flips | {(p, p) for p in rng.sample(perms, rng.randint(0, 2))}
+
+
+def _assert_same_report(suite, n):
+    fast_suite, literal = _SUITES[suite]
+    report = fast_suite(n).to_json()
+    # json.dumps keeps key order, so this compares the order of keys too.
+    assert json.dumps(report) == json.dumps(literal(n))
+    return report
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITES))
+@pytest.mark.parametrize("n", [3, 4])
+def test_suites_match_literal_loops_under_broken_relation(monkeypatch, suite, n):
+    failing = 0
+    for seed in range(20):
+        flips = _flips(n, seed)
+        monkeypatch.setattr(oracle, "_direct_leq",
+                            lambda p, q, flips=flips: _REAL_LEQ(p, q) != ((p, q) in flips))
+        failing += bool(_assert_same_report(suite, n)["failures"])
+    assert failing >= 15
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_broken_eo_leq_fails_inversion_and_theorem10(monkeypatch, n, seed):
+    # A flipped diagonal pair breaks eo_equiv, so theorem10 fails too.
+    flips = _flips(n, seed) | {(tuple(range(n)),) * 2}
+    real = fast.eo_leq
+    monkeypatch.setattr(fast, "eo_leq",
+                        lambda p, q: real(p, q) != ((p.ranks, q.ranks) in flips))
+    perms = itertools.permutations(range(n))
+    expected = [
+        {"p": list(p), "q": list(q), "direct": _REAL_LEQ(p, q), "containment": not _REAL_LEQ(p, q)}
+        for p, q in itertools.product(perms, repeat=2)
+        if (p, q) in flips
+    ]
+    assert check_inversion_equiv(n).failures == tuple(expected)
+    assert _assert_same_report("theorem10", n)["failures"]
+
+
+@pytest.mark.parametrize("name", ["eo_equiv", "uniform"])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_broken_equivalence_fails_theorem10(monkeypatch, name, n, seed):
+    flips = _flips(n, seed)
+    real = getattr(fast, name)
+    monkeypatch.setattr(fast, name, lambda p, q: real(p, q) != ((p.ranks, q.ranks) in flips))
+    assert _assert_same_report("theorem10", n)["failures"]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_broken_poset_fails_hasse(monkeypatch, n, seed):
+    real = oracle.build_poset
+
+    def broken(n):
+        poset = real(n)
+        dropped = set(random.Random(seed).sample(poset.hasse, 2))
+        edges = [e for e in poset.hasse if e not in dropped] + [(0, len(poset.nodes) - 1)]
+        return dataclasses.replace(poset, hasse=tuple(sorted(edges)))
+
+    monkeypatch.setattr(oracle, "build_poset", broken)
+    failures = _assert_same_report("hasse", n)["failures"]
+    assert [f.get("missing_from", f.get("check")) for f in failures] == [
+        "module", "module", "oracle", "cover_count"
+    ]
 
 
 def _outcome(run, prog, k, round_cap):
