@@ -4,65 +4,53 @@ Decides order-pattern relations exactly on finite listing prefixes,
 materializes the quotient poset of patterns, runs a toy enumerator VM
 whose halting costs create nontrivial enumeration orders, and searches a
 bounded strategy space for set-level relation witnesses.
+
+The public names below are loaded on first use (PEP 562), so importing the
+package, or ``eolab.cli``, loads no layer.
 """
 
-from .patterns import (
-    ListingPrefix,
-    OrderPattern,
-    PairSet,
-    apply_pattern,
-    ascents,
-    eo_equiv,
-    eo_leq,
-    eo_lt,
-    identity,
-    incomparable,
-    inversions,
-    pattern_of,
-    prefix_restrict,
-    reversal,
-    uniform,
-)
-from .poset import PatternPoset, build_poset, export, max_chain, sample_antichain
-from .search import (
-    SearchBudget,
-    WitnessReport,
-    search_eo_witness,
-    search_uniform_witness,
-)
-from .vm import DovetailTrace, EnumeratorProgram, Scheduler, dovetail, parse_program, schedule
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DovetailTrace",
-    "EnumeratorProgram",
-    "ListingPrefix",
-    "OrderPattern",
-    "PairSet",
-    "PatternPoset",
-    "Scheduler",
-    "SearchBudget",
-    "WitnessReport",
-    "apply_pattern",
-    "ascents",
-    "build_poset",
-    "dovetail",
-    "eo_equiv",
-    "eo_leq",
-    "eo_lt",
-    "export",
-    "identity",
-    "incomparable",
-    "inversions",
-    "max_chain",
-    "parse_program",
-    "pattern_of",
-    "prefix_restrict",
-    "reversal",
-    "sample_antichain",
-    "schedule",
-    "search_eo_witness",
-    "search_uniform_witness",
-    "uniform",
-]
+_EXPORTS = {
+    "patterns": (
+        "ListingPrefix",
+        "OrderPattern",
+        "PairSet",
+        "apply_pattern",
+        "ascents",
+        "eo_equiv",
+        "eo_leq",
+        "eo_lt",
+        "identity",
+        "incomparable",
+        "inversions",
+        "pattern_of",
+        "prefix_restrict",
+        "reversal",
+        "uniform",
+    ),
+    "poset": ("PatternPoset", "build_poset", "export", "max_chain", "sample_antichain"),
+    "search": ("SearchBudget", "WitnessReport", "search_eo_witness", "search_uniform_witness"),
+    "vm": (
+        "DovetailTrace", "EnumeratorProgram", "Scheduler", "dovetail", "parse_program", "schedule"
+    ),
+}
+
+#: Each public name and the layer that defines it.
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

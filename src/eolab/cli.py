@@ -8,7 +8,8 @@ to stderr; identical invocations produce byte-identical output.
 
 ``main`` may be called any number of times in one process.  The argument
 parser is built on the first call and reused by every later one; each call
-looks its subcommand's handler up by name.
+looks its subcommand's handler up by name.  This module imports no layer:
+each handler imports the layers it runs, so a launch loads only those.
 """
 
 from __future__ import annotations
@@ -17,33 +18,16 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
-from .expressions import EvaluationError, ExpressionError
-from .patterns import (
-    MAX_ELEMENT,
-    PREFIX_SCOPE_NOTE,
-    _first_violation,
-    _pair_rows,
-    pattern_of,
-)
-from .poset import (
-    POSET_SCOPE_NOTE,
-    NoAntichainError,
-    _dot,
-    build_poset,
-    export,
-    max_chain,
-    sample_antichain,
-)
-from .search import (
+from .errors import (
+    EvaluationError,
+    ExpressionError,
     InsufficientEnumerationError,
-    SearchBudget,
-    WitnessReport,
-    search_eo_witness,
-    search_uniform_witness,
+    InsufficientPrefixError,
+    NoAntichainError,
+    clip,
 )
-from .vm import InsufficientPrefixError, Scheduler, dovetail, parse_program, schedule
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -63,8 +47,8 @@ _SEARCH_EXITS = {
 #: ``pattern`` prints all n(n-1)/2 index pairs, about 92 MB of text at this length.
 MAX_PATTERN_LENGTH = 4000
 
-#: Most digits an element may have, leading zeros aside.
-_MAX_ELEMENT_DIGITS = len(str(MAX_ELEMENT))
+#: Most digits an element may have, leading zeros aside (``patterns.MAX_ELEMENT``'s).
+_MAX_ELEMENT_DIGITS = 20
 
 
 class UsageError(ValueError):
@@ -76,7 +60,7 @@ def _parse_naturals(text: str, what: str) -> tuple[int, ...]:
     for part in parts:
         # int() rejects digits such as '²', and strings of over 4,300 digits.
         if not part.isdecimal() or len(part.lstrip("0")) > _MAX_ELEMENT_DIGITS:
-            raise UsageError(f"{what}: expected comma-separated naturals, got {part!r}")
+            raise UsageError(f"{what}: expected comma-separated naturals, got {clip(repr(part))}")
     return tuple(map(int, parts))
 
 
@@ -88,11 +72,11 @@ def _fmt_seq(values) -> str:
     return ",".join(map(str, values))
 
 
-def _join_pairs(ranks, ascending: bool, tokens: list[str], opening: str, sep: str) -> str:
-    """The ascents (or inversions) of ``ranks`` in lexicographic order, with no
-    pair object or sort: (i, j) as ``{opening}{i},{tokens[j]}``, joined by ``sep``."""
+def _join_pairs(pair_rows, opening: str, sep: str) -> str:
+    """The rows of ``patterns._pair_rows`` joined with no pair object or sort:
+    pair (i, j), labelled ``l``, as ``{opening}{i},{l}``, the pairs joined by ``sep``."""
     rows = []
-    for i, row in enumerate(_pair_rows(ranks, tokens, ascending)):
+    for i, row in enumerate(pair_rows):
         head = f"{opening}{i},"
         if body := (sep + head).join(row):
             rows.append(head + body)
@@ -111,13 +95,16 @@ def _read_file(path: str) -> str:
 
 
 def _cmd_pattern(args) -> tuple[int, str]:
+    from . import patterns
+
     sequence = _parse_naturals(args.sequence, "sequence")
     if len(sequence) > MAX_PATTERN_LENGTH:
         raise UsageError(f"sequence: at most {MAX_PATTERN_LENGTH} elements, got {len(sequence)}")
-    ranks = pattern_of(sequence).ranks
+    ranks = patterns.pattern_of(sequence).ranks
     opening, closing, sep = ("[", "]", ",") if args.format == "json" else ("(", ")", " ")
     tokens = [f"{j}{closing}" for j in range(len(ranks))]
-    up, down = (_join_pairs(ranks, a, tokens, opening, sep) for a in (True, False))
+    up, down = (_join_pairs(patterns._pair_rows(ranks, tokens, a), opening, sep)
+                for a in (True, False))
     if args.format == "json":
         # What _dump_json gives for {"pattern", "ascents", "inversions"}.
         doc = f'{{"ascents":[{up}],"inversions":[{down}],"pattern":[{_fmt_seq(ranks)}]}}'
@@ -137,9 +124,12 @@ def _verdict(left_right: bool, right_left: bool) -> str:
 
 
 def _cmd_cmp(args) -> tuple[int, str]:
-    left = pattern_of(_parse_naturals(args.left, "--left"))
-    right = pattern_of(_parse_naturals(args.right, "--right"))
-    vio_lr, vio_rl = _first_violation(left, right), _first_violation(right, left)
+    from . import patterns
+
+    left = patterns.pattern_of(_parse_naturals(args.left, "--left"))
+    right = patterns.pattern_of(_parse_naturals(args.right, "--right"))
+    vio_lr = patterns._first_violation(left, right)
+    vio_rl = patterns._first_violation(right, left)
     lr, rl = vio_lr is None, vio_rl is None
     if args.format == "json":
         doc = {
@@ -150,7 +140,7 @@ def _cmd_cmp(args) -> tuple[int, str]:
             "violationLeftRight": list(vio_lr) if vio_lr else None,
             "violationRightLeft": list(vio_rl) if vio_rl else None,
             "verdict": _verdict(lr, rl),
-            "scope": PREFIX_SCOPE_NOTE,
+            "scope": patterns.PREFIX_SCOPE_NOTE,
         }
         return EXIT_OK, _dump_json(doc)
     lines = [
@@ -161,36 +151,36 @@ def _cmd_cmp(args) -> tuple[int, str]:
         f"right ≤eo left: {str(rl).lower()}"
         + (f" (least violation ({vio_rl[0]},{vio_rl[1]}))" if vio_rl else ""),
         f"verdict: {_verdict(lr, rl)}",
-        f"scope: {PREFIX_SCOPE_NOTE}",
+        f"scope: {patterns.PREFIX_SCOPE_NOTE}",
     ]
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _chain_output(patterns, n: int, key: str, fmt: str) -> str:
-    if fmt == "json":
-        doc = {"n": n, key: [p.to_json() for p in patterns], "scope": POSET_SCOPE_NOTE}
-        return _dump_json(doc)
-    if fmt == "dot":
-        edges = [(i, i + 1) for i in range(len(patterns) - 1)] if key == "chain" else []
-        return _dot(key, patterns, edges)
-    return "".join(f"{_fmt_seq(p.ranks)}\n" for p in patterns)
-
-
 def _cmd_poset(args) -> tuple[int, str]:
+    from . import poset
+
     if args.chain:
-        chain = max_chain(args.n, cap=args.cap)
-        stats = {"nodes": len(chain), "coverEdges": len(chain) - 1}
-        output = _chain_output(chain.patterns, args.n, "chain", args.format)
+        key, nodes = "chain", poset.max_chain(args.n, cap=args.cap).patterns
+        stats = {"nodes": len(nodes), "coverEdges": len(nodes) - 1}
     elif args.antichain is not None:
         if args.antichain < 2:
             raise UsageError("--antichain size must be >= 2")
-        antichain = sample_antichain(args.n, args.antichain, cap=args.cap)
+        antichain = poset.sample_antichain(args.n, args.antichain, cap=args.cap)
+        key, nodes = "antichain", antichain.sorted_patterns()
         stats = {"nodes": len(antichain), "coverEdges": 0, **antichain.stats}
-        output = _chain_output(antichain.sorted_patterns(), args.n, "antichain", args.format)
     else:
-        poset = build_poset(args.n, cap=args.cap)
-        stats = {"nodes": len(poset.nodes), "coverEdges": len(poset.hasse)}
-        output = export(poset, args.format)
+        whole = poset.build_poset(args.n, cap=args.cap)
+        key, stats = "poset", {"nodes": len(whole.nodes), "coverEdges": len(whole.hasse)}
+    if key == "poset":
+        output = poset.export(whole, args.format)
+    elif args.format == "json":
+        doc = {"n": args.n, key: [p.to_json() for p in nodes], "scope": poset.POSET_SCOPE_NOTE}
+        output = _dump_json(doc)
+    elif args.format == "dot":
+        edges = [(i, i + 1) for i in range(len(nodes) - 1)] if key == "chain" else []
+        output = poset._dot(key, nodes, edges)
+    else:
+        output = "".join(f"{_fmt_seq(p.ranks)}\n" for p in nodes)
     if args.stats:
         sys.stderr.write(_dump_json(stats))
     return EXIT_OK, output
@@ -214,16 +204,18 @@ def _run_stats(prog, trace) -> dict:
 
 
 def _cmd_run(args) -> tuple[int, str]:
-    prog = parse_program(_read_file(args.program))
-    trace = dovetail(prog, args.k, args.round_cap)
+    from . import patterns, vm
+
+    prog = vm.parse_program(_read_file(args.program))
+    trace = vm.dovetail(prog, args.k, args.round_cap)
     if args.stats:
         sys.stderr.write(_dump_json(_run_stats(prog, trace)))
     emitted = trace.emitted
     if args.schedule is not None:
         choices = _parse_naturals(args.choices, "--choices") if args.choices else ()
-        sched = Scheduler(args.schedule, window=args.window, choices=choices)
-        emitted = schedule(trace, sched, args.k).elements
-    pattern = pattern_of(emitted) if emitted else None
+        sched = vm.Scheduler(args.schedule, window=args.window, choices=choices)
+        emitted = vm.schedule(trace, sched, args.k).elements
+    pattern = patterns.pattern_of(emitted) if emitted else None
     if args.format == "json":
         doc = {
             "emitted": list(emitted),
@@ -241,7 +233,7 @@ def _cmd_run(args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _witness_text(report: WitnessReport) -> str:
+def _witness_text(report) -> str:
     lines = []
     for key, value in report.to_json().items():
         if isinstance(value, list):
@@ -253,16 +245,18 @@ def _witness_text(report: WitnessReport) -> str:
 
 
 def _cmd_search(args) -> tuple[int, str]:
-    prog_a = parse_program(_read_file(args.a))
-    prog_b = parse_program(_read_file(args.b))
-    budget = SearchBudget(
+    from . import search, vm
+
+    prog_a = vm.parse_program(_read_file(args.a))
+    prog_b = vm.parse_program(_read_file(args.b))
+    budget = search.SearchBudget(
         k=args.k,
         window=args.window,
         max_nodes=args.max_nodes,
         round_cap=args.round_cap,
     )
-    search = search_eo_witness if args.relation == "eo" else search_uniform_witness
-    report = search(prog_a, prog_b, budget)
+    find = search.search_eo_witness if args.relation == "eo" else search.search_uniform_witness
+    report = find(prog_a, prog_b, budget)
     if args.stats:
         sys.stderr.write(_dump_json(report.stats))
     text = _dump_json(report.to_json()) if args.format == "json" else _witness_text(report)

@@ -26,15 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
 
+from .errors import EvaluationError, ExpressionError, clip
+
 MAX_VALUE = 2**64 - 1
 MAX_DEPTH = 100
 
 _KEYWORDS = {"mod", "and", "or"}
 _CMP_OPS = {"==", "!=", "<", "<="}
-
-
-class ExpressionError(ValueError):
-    """Base for anything wrong with an expression's text."""
 
 
 class ExpressionSyntaxError(ExpressionError):
@@ -46,7 +44,7 @@ class ExpressionSyntaxError(ExpressionError):
 class UnknownIdentifierError(ExpressionSyntaxError):
     def __init__(self, name: str, position: int):
         self.name = name
-        ExpressionError.__init__(self, f"unknown identifier {name!r} (at position {position}); only 'i' is bound")
+        ExpressionError.__init__(self, f"unknown identifier {clip(repr(name))} (at position {position}); only 'i' is bound")
         self.position = position
 
 
@@ -54,34 +52,26 @@ class GuardTypeError(ExpressionError):
     """An arithmetic value appeared where a boolean was required."""
 
 
-class EvaluationError(ArithmeticError):
-    """Expression evaluation failed for a specific input."""
-
-    def __init__(self, message: str, expression: str, input_value: int):
-        self.expression = expression
-        self.input_value = input_value
-        super().__init__(f"{message} while evaluating {expression!r} at i={input_value}")
-
-
 class CheckedOverflowError(EvaluationError):
     """A result exceeded 64 unsigned bits."""
 
 
 # --- AST ------------------------------------------------------------------
+#
+# NamedTuples, as _Token is.  They compare as plain tuples, so no two kinds
+# may share a shape: _Nat and _Var differ in length, and the three binary
+# kinds in their op sets.
 
 
-@dataclass(frozen=True)
-class _Nat:
+class _Nat(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class _Var:
+class _Var(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class _Arith:
+class _Arith(NamedTuple):
     op: str  # + - * mod
     left: "_ArithNode"
     right: "_ArithNode"
@@ -90,15 +80,13 @@ class _Arith:
 _ArithNode = Union[_Nat, _Var, _Arith]
 
 
-@dataclass(frozen=True)
-class _Compare:
+class _Compare(NamedTuple):
     op: str  # == != < <=
     left: _ArithNode
     right: _ArithNode
 
 
-@dataclass(frozen=True)
-class _Logic:
+class _Logic(NamedTuple):
     op: str  # and or
     left: "_BoolNode"
     right: "_BoolNode"
@@ -189,7 +177,7 @@ class _Parser:
             # Length first: int() refuses strings of more than 4,300 digits.
             digits = tok.text.lstrip("0") or "0"
             if len(digits) > len(str(MAX_VALUE)) or int(digits) > MAX_VALUE:
-                raise ExpressionSyntaxError(f"literal {tok.text} exceeds 64 bits", tok.position)
+                raise ExpressionSyntaxError(f"literal {clip(tok.text)} exceeds 64 bits", tok.position)
             return _Nat(int(digits)), 1
         if tok.kind == "ident":
             if tok.text == "i":
@@ -234,7 +222,7 @@ class _Parser:
             return self.join(_Compare, tok.text, left, self.expr())
         raise GuardTypeError(
             f"guard requires a comparison (==, !=, <, <=) but found "
-            f"{tok.text or 'end of input'!r} at position {tok.position}"
+            f"{clip(repr(tok.text or 'end of input'))} at position {tok.position}"
         )
 
     def conj(self) -> tuple[_BoolNode, int]:
@@ -254,7 +242,7 @@ class _Parser:
     def expect_end(self) -> None:
         tok = self.peek()
         if tok.kind != "end":
-            raise ExpressionSyntaxError(f"unexpected trailing {tok.text!r}", tok.position)
+            raise ExpressionSyntaxError(f"unexpected trailing {clip(repr(tok.text))}", tok.position)
 
 
 # --- compilation ----------------------------------------------------------

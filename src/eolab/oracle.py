@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import patterns as fast
+from .errors import clip
 from .expressions import (
     MAX_VALUE,
     CheckedOverflowError,
@@ -219,7 +220,7 @@ def check_theorem3_finite(n: int, support: Iterable[int]) -> OracleReport:
     support_values.sort()
     _require(
         len(support_values) == n,
-        f"support must hold exactly {n} distinct naturals, got {support_values}",
+        f"support must hold exactly {n} distinct naturals, got {clip(str(support_values))}",
     )
     failures = []
     for p in itertools.permutations(range(n)):

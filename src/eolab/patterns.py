@@ -221,8 +221,9 @@ def inversions(p: OrderPattern) -> PairSet:
 
 
 def _check_lengths(p: OrderPattern, q: OrderPattern) -> None:
-    if len(p) != len(q):
-        raise LengthMismatchError(len(p), len(q))
+    # Through ranks: OrderPattern.__len__ would add a Python frame per call.
+    if len(p.ranks) != len(q.ranks):
+        raise LengthMismatchError(len(p.ranks), len(q.ranks))
 
 
 def eo_leq(p: OrderPattern, q: OrderPattern) -> bool:
@@ -249,7 +250,7 @@ def _first_violation(p: OrderPattern, q: OrderPattern) -> tuple[int, int] | None
     if not diff:
         return None
     # Row i of a mask starts at bit i * 8 * width (see ``ascent_mask``).
-    return divmod((diff & -diff).bit_length() - 1, 8 * ((len(p) + 7) // 8))
+    return divmod((diff & -diff).bit_length() - 1, 8 * ((len(p.ranks) + 7) // 8))
 
 
 def eo_lt(p: OrderPattern, q: OrderPattern) -> bool:

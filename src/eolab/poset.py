@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import permutations
 
+from .errors import NoAntichainError
 from .patterns import PREFIX_SCOPE_NOTE, OrderPattern, eo_leq
 
 #: Largest pattern length build_poset will attempt.
@@ -30,10 +31,6 @@ POSET_SCOPE_NOTE = "finite-prefix analogue of the class order; " + PREFIX_SCOPE_
 
 class PosetRangeError(ValueError):
     """Requested length is outside 1..cap."""
-
-
-class NoAntichainError(LookupError):
-    """No antichain of the requested size exists at this length."""
 
 
 def _check_n(n: int, cap: int) -> None:

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InsufficientEnumerationError
 from .patterns import ListingPrefix, OrderPattern, eo_leq, pattern_of, uniform
 from .vm import DovetailTrace, EnumeratorProgram, Scheduler, dovetail, schedule
 
@@ -66,17 +67,6 @@ RESTRICTION_NOTE = (
     "native enumeration, compared on k-element prefixes; prefix-level "
     "evidence only, never a verdict on the unrestricted relation"
 )
-
-
-class InsufficientEnumerationError(RuntimeError):
-    """A native enumeration did not reach k values within round_cap."""
-
-    def __init__(self, programs: tuple[str, ...], k: int, round_cap: int):
-        self.programs = programs
-        super().__init__(
-            f"insufficient enumeration: {', '.join(programs)} did not emit "
-            f"{k} values within {round_cap} rounds"
-        )
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from .expressions import ArithExpr, EvaluationError, GuardExpr, parse_arith, parse_guard
+from .errors import EvaluationError, InsufficientPrefixError, clip
+from .expressions import ArithExpr, GuardExpr, parse_arith, parse_guard
 from .patterns import ListingPrefix
 
 SCHEDULER_KINDS = ("native", "min_first", "max_first", "explicit")
@@ -31,10 +32,6 @@ MAX_ROUND_CAP = 10**6  # dovetail takes time and memory linear in its round cap
 
 class ProgramError(ValueError):
     """A program document is malformed."""
-
-
-class InsufficientPrefixError(ValueError):
-    """The native prefix is too short to supply the requested outputs."""
 
 
 class ChoiceError(ValueError):
@@ -74,7 +71,7 @@ def parse_program(source: str) -> EnumeratorProgram:
         raise ProgramError("program document must be a JSON object")
     unknown = set(doc) - {"name", "value", "cost", "guard"}
     if unknown:
-        raise ProgramError(f"unknown keys: {', '.join(sorted(unknown))}")
+        raise ProgramError(f"unknown keys: {clip(', '.join(sorted(unknown)))}")
     for key in ("name", "value", "cost"):
         if key not in doc:
             raise ProgramError(f"missing key: {key}")
@@ -82,7 +79,7 @@ def parse_program(source: str) -> EnumeratorProgram:
             raise ProgramError(f"key {key!r} must be a string")
     name = doc["name"]
     if not name or not name.replace("_", "").isalnum():
-        raise ProgramError(f"name {name!r} is not an identifier")
+        raise ProgramError(f"name {clip(repr(name))} is not an identifier")
     guard_src = doc.get("guard")
     if guard_src is not None and not isinstance(guard_src, str):
         raise ProgramError("key 'guard' must be a string or null")
@@ -121,7 +118,7 @@ class DovetailTrace:
 
     def as_prefix(self) -> ListingPrefix:
         if not self.emitted:
-            raise InsufficientPrefixError(f"trace of {self.program!r} emitted nothing")
+            raise InsufficientPrefixError(f"trace of {clip(repr(self.program))} emitted nothing")
         return ListingPrefix(self.emitted)
 
     def to_json(self) -> dict:

@@ -11,9 +11,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eolab.cli import MAX_PATTERN_LENGTH, build_parser, main
+from eolab.cli import _MAX_ELEMENT_DIGITS, MAX_PATTERN_LENGTH, build_parser, main
 from eolab.oracle import brute_force_pair_sets
-from eolab.patterns import pattern_of
+from eolab.patterns import MAX_ELEMENT, pattern_of
 
 from conftest import PROGRAMS
 
@@ -63,9 +63,69 @@ def test_pattern_garbage_exit_2(capsys):
 def test_pattern_non_natural_message(capsys, element):
     # int() rejects both: '²' is a digit but not a decimal, and 5,000
     # digits exceed its 4,300-digit limit on string conversions.
+    # A long element is echoed as its head and its length.
+    shown = {"²": "'²'", "1" * 5000: "'" + "1" * 79 + "... (5002 characters)"}[element]
     code, out, err = invoke(capsys, "pattern", f"{element},1")
     assert (code, out) == (2, "")
-    assert err == f"error: sequence: expected comma-separated naturals, got {element!r}\n"
+    assert err == f"error: sequence: expected comma-separated naturals, got {shown}\n"
+
+
+def test_element_digit_bound_matches_max_element():
+    # cli keeps its own copy so as not to import patterns at startup.
+    assert _MAX_ELEMENT_DIGITS == len(str(MAX_ELEMENT))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pattern", "7" * 200_000],
+        ["pattern", "1,x" + "y" * 200_000],
+        ["check", "--suite", "theorem3", "--n", "3", "--support",
+         ",".join(map(str, range(100_000)))],
+        ["cmp", "--left", "1,2", "--right", "0," + "9" * 100_000],
+    ],
+    ids=["long_element", "long_garbage", "long_support", "long_cmp_element"],
+)
+def test_error_echo_is_capped(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"value": "1" * 100_000},
+        {"value": "i + " + "a" * 100_000},
+        {"value": "i " + "b" * 100_000},
+        {"guard": "i " + "c" * 100_000},
+        {"name": "bad name" * 10_000},
+        {"k" * 100_000: 1},
+        {"value": "i" + " " * 100_000 + "* 18446744073709551615 * 2"},
+    ],
+    ids=["literal", "identifier", "trailing", "guard", "name", "unknown_key", "overflow"],
+)
+def test_program_error_echo_is_capped(capsys, tmp_path, doc):
+    program = tmp_path / "long.json"
+    program.write_text(json.dumps({"name": "p", "value": "i", "cost": "1", **doc}))
+    code, out, err = invoke(capsys, "run", "--program", str(program), "--k", "3")
+    assert code in (2, 4) and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 1024
+
+
+def test_long_program_name_echo_is_capped(capsys, tmp_path):
+    # A name may be any length; the insufficient-enumeration error quotes it.
+    program = tmp_path / "long.json"
+    program.write_text(json.dumps({"name": "p" * 100_000, "value": "i", "cost": "1",
+                                   "guard": "i == 0"}))
+    argv = ["search", "--a", str(program), "--b", str(program), "--k", "3",
+            "--window", "1", "--round-cap", "5"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 1024
 
 
 def test_pattern_length_ceiling(capsys, monkeypatch):

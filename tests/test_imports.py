@@ -1,0 +1,104 @@
+"""What each entry point imports, and the package's lazily resolved names.
+
+The import graph is read in a fresh interpreter per case: in this process
+every layer is loaded already.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import eolab
+
+from conftest import PROGRAMS
+
+SRC = str(Path(eolab.__file__).resolve().parents[1])
+BASE = {"eolab", "eolab.cli", "eolab.errors"}
+LAYERS = {"eolab.expressions", "eolab.vm", "eolab.patterns", "eolab.poset", "eolab.search"}
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The ``eolab`` modules a fresh interpreter holds after running ``code``."""
+    probe = (f"{code}\nimport sys, json\n"
+             "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'eolab']))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True)
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_layer():
+    assert _loaded_after("import eolab.cli") == BASE
+
+
+def _prog(name: str) -> str:
+    return str(PROGRAMS / f"{name}.json")
+
+
+@pytest.mark.parametrize(
+    "argv,layers",
+    [
+        (["pattern", "5,2,9"], {"patterns"}),
+        (["cmp", "--left", "0,2,1", "--right", "1,0,2"], {"patterns"}),
+        (["poset", "--n", "3", "--chain"], {"patterns", "poset"}),
+        (["run", "--program", _prog("evens"), "--k", "4"], {"vm", "expressions", "patterns"}),
+        (["search", "--a", _prog("evens"), "--b", _prog("evens"), "--k", "3", "--window", "2"],
+         {"vm", "expressions", "patterns", "search"}),
+        (["check", "--suite", "hasse", "--n", "3"],
+         {"vm", "expressions", "patterns", "poset", "search", "oracle"}),
+    ],
+    ids=["pattern", "cmp", "poset", "run", "search", "check"],
+)
+def test_subcommand_loads_only_its_layers(argv, layers):
+    code = ("import contextlib, io, eolab.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert eolab.cli.main({argv!r}) == 0")
+    assert _loaded_after(code) == BASE | {f"eolab.{layer}" for layer in layers}
+
+
+def test_version_loads_no_layer():
+    assert _loaded_after("import eolab\nassert eolab.__version__") == {"eolab"}
+
+
+def test_public_name_loads_only_its_layer():
+    assert _loaded_after("from eolab import pattern_of") == {"eolab", "eolab.patterns"}
+
+
+def test_public_names_resolve_to_their_modules_objects():
+    star: dict = {}
+    exec("from eolab import *", star)
+    star.pop("__builtins__")
+    assert set(star) == set(eolab.__all__)
+    for name in eolab.__all__:
+        obj = getattr(eolab, name)
+        assert obj is star[name]
+        assert getattr(sys.modules[obj.__module__], name) is obj
+        assert obj.__module__ in LAYERS
+
+
+def test_dir_lists_public_names():
+    assert set(eolab.__all__) <= set(dir(eolab))
+    assert "__version__" in dir(eolab)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        eolab.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from eolab import no_such_name  # noqa: F401
+
+
+def test_layers_reexport_the_errors_cli_maps():
+    from eolab import errors, expressions, poset, search, vm
+
+    assert expressions.EvaluationError is errors.EvaluationError
+    assert expressions.ExpressionError is errors.ExpressionError
+    assert vm.InsufficientPrefixError is errors.InsufficientPrefixError
+    assert search.InsufficientEnumerationError is errors.InsufficientEnumerationError
+    assert poset.NoAntichainError is errors.NoAntichainError

@@ -281,6 +281,19 @@ def test_expression_parsers_raise_only_expression_errors(source):
             pass
 
 
+def test_parse_trees_equal_only_when_alike():
+    # The tree nodes compare as plain tuples: no two node kinds may compare
+    # equal, so trees are equal exactly when their reprs, which name each
+    # node's kind, are.
+    trees = [parse_arith(s).root for s in
+             ("i", "0", "1", "i + 1", "i - 1", "i * 1", "i mod 1", "(i)", "1 + i", "i + i")]
+    trees += [parse_guard(s).root for s in
+              ("i < 1", "i <= 1", "i == 1", "i != 1", "i < 1 and i < 1", "i < 1 or i < 1")]
+    for a in trees:
+        for b in trees:
+            assert (a == b) == (repr(a) == repr(b))
+
+
 @settings(max_examples=250, deadline=None)
 @given(st.text(max_size=80) | _json.map(json.dumps) | _documents.map(json.dumps))
 @example("1" * 5000)
