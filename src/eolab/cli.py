@@ -64,6 +64,14 @@ def _parse_naturals(text: str, what: str) -> tuple[int, ...]:
     return tuple(map(int, parts))
 
 
+def _int(text: str) -> int:
+    """``type=int`` for argparse, with the rejected text clipped in the message."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(repr(text))}") from None
+
+
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -88,7 +96,7 @@ def _read_file(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
+        raise UsageError(f"cannot read {clip(path)}: {exc.strerror or exc}")
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -113,14 +121,12 @@ def _cmd_pattern(args) -> tuple[int, str]:
     return EXIT_OK, text
 
 
-def _verdict(left_right: bool, right_left: bool) -> str:
-    if left_right and right_left:
-        return "equivalent (uniform)"
-    if left_right:
-        return "left ≤eo right only"
-    if right_left:
-        return "right ≤eo left only"
-    return "incomparable"
+_VERDICTS = {
+    (True, True): "equivalent (uniform)",
+    (True, False): "left ≤eo right only",
+    (False, True): "right ≤eo left only",
+    (False, False): "incomparable",
+}
 
 
 def _cmd_cmp(args) -> tuple[int, str]:
@@ -139,7 +145,7 @@ def _cmd_cmp(args) -> tuple[int, str]:
             "rightLeqLeft": rl,
             "violationLeftRight": list(vio_lr) if vio_lr else None,
             "violationRightLeft": list(vio_rl) if vio_rl else None,
-            "verdict": _verdict(lr, rl),
+            "verdict": _VERDICTS[lr, rl],
             "scope": patterns.PREFIX_SCOPE_NOTE,
         }
         return EXIT_OK, _dump_json(doc)
@@ -150,37 +156,39 @@ def _cmd_cmp(args) -> tuple[int, str]:
         + (f" (least violation ({vio_lr[0]},{vio_lr[1]}))" if vio_lr else ""),
         f"right ≤eo left: {str(rl).lower()}"
         + (f" (least violation ({vio_rl[0]},{vio_rl[1]}))" if vio_rl else ""),
-        f"verdict: {_verdict(lr, rl)}",
+        f"verdict: {_VERDICTS[lr, rl]}",
         f"scope: {patterns.PREFIX_SCOPE_NOTE}",
     ]
     return EXIT_OK, "\n".join(lines) + "\n"
+
+
+def _chain_output(poset, patterns, n: int, key: str, fmt: str) -> str:
+    if fmt == "json":
+        doc = {"n": n, key: [p.to_json() for p in patterns], "scope": poset.POSET_SCOPE_NOTE}
+        return _dump_json(doc)
+    if fmt == "dot":
+        edges = [(i, i + 1) for i in range(len(patterns) - 1)] if key == "chain" else []
+        return poset._dot(key, patterns, edges)
+    return "".join(f"{_fmt_seq(p.ranks)}\n" for p in patterns)
 
 
 def _cmd_poset(args) -> tuple[int, str]:
     from . import poset
 
     if args.chain:
-        key, nodes = "chain", poset.max_chain(args.n, cap=args.cap).patterns
-        stats = {"nodes": len(nodes), "coverEdges": len(nodes) - 1}
+        chain = poset.max_chain(args.n, cap=args.cap)
+        stats = {"nodes": len(chain), "coverEdges": len(chain) - 1}
+        output = _chain_output(poset, chain.patterns, args.n, "chain", args.format)
     elif args.antichain is not None:
         if args.antichain < 2:
             raise UsageError("--antichain size must be >= 2")
         antichain = poset.sample_antichain(args.n, args.antichain, cap=args.cap)
-        key, nodes = "antichain", antichain.sorted_patterns()
         stats = {"nodes": len(antichain), "coverEdges": 0, **antichain.stats}
+        output = _chain_output(poset, antichain.sorted_patterns(), args.n, "antichain", args.format)
     else:
         whole = poset.build_poset(args.n, cap=args.cap)
-        key, stats = "poset", {"nodes": len(whole.nodes), "coverEdges": len(whole.hasse)}
-    if key == "poset":
+        stats = {"nodes": len(whole.nodes), "coverEdges": len(whole.hasse)}
         output = poset.export(whole, args.format)
-    elif args.format == "json":
-        doc = {"n": args.n, key: [p.to_json() for p in nodes], "scope": poset.POSET_SCOPE_NOTE}
-        output = _dump_json(doc)
-    elif args.format == "dot":
-        edges = [(i, i + 1) for i in range(len(nodes) - 1)] if key == "chain" else []
-        output = poset._dot(key, nodes, edges)
-    else:
-        output = "".join(f"{_fmt_seq(p.ranks)}\n" for p in nodes)
     if args.stats:
         sys.stderr.write(_dump_json(stats))
     return EXIT_OK, output
@@ -327,30 +335,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pattern.add_argument("sequence", help="comma-separated distinct naturals")
 
-    p_cmp = sub.add_parser(
-        "cmp", parents=[fmt], help="compare two equal-length sequences"
-    )
+    p_cmp = sub.add_parser("cmp", parents=[fmt], help="compare two equal-length sequences")
     p_cmp.add_argument("--left", required=True)
     p_cmp.add_argument("--right", required=True)
 
     p_poset = sub.add_parser("poset", help="pattern poset, chains and antichains")
-    p_poset.add_argument("--n", type=int, required=True)
+    p_poset.add_argument("--n", type=_int, required=True)
     p_poset.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    p_poset.add_argument("--cap", type=int, default=6, help="raise the length cap (max 8)")
+    p_poset.add_argument("--cap", type=_int, default=6, help="raise the length cap (max 8)")
     group = p_poset.add_mutually_exclusive_group()
     group.add_argument("--chain", action="store_true", help="emit a maximum chain")
-    group.add_argument("--antichain", type=int, metavar="SIZE")
+    group.add_argument("--antichain", type=_int, metavar="SIZE")
 
-    p_run = sub.add_parser(
-        "run", parents=[fmt], help="dovetail a program, optionally rescheduled"
-    )
+    p_run = sub.add_parser("run", parents=[fmt], help="dovetail a program, optionally rescheduled")
     p_run.add_argument("--program", required=True, help="program JSON file")
-    p_run.add_argument("--k", type=int, required=True)
-    p_run.add_argument("--round-cap", type=int, default=1000, dest="round_cap")
-    p_run.add_argument(
-        "--schedule", choices=["native", "min_first", "max_first", "explicit"]
-    )
-    p_run.add_argument("--window", type=int, default=1)
+    p_run.add_argument("--k", type=_int, required=True)
+    p_run.add_argument("--round-cap", type=_int, default=1000, dest="round_cap")
+    p_run.add_argument("--schedule", choices=["native", "min_first", "max_first", "explicit"])
+    p_run.add_argument("--window", type=_int, default=1)
     p_run.add_argument("--choices", help="comma-separated buffer choices (explicit)")
 
     p_search = sub.add_parser(
@@ -358,21 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument("--a", required=True, help="program JSON file")
     p_search.add_argument("--b", required=True, help="program JSON file")
-    p_search.add_argument("--k", type=int, required=True)
-    p_search.add_argument("--window", type=int, required=True)
+    p_search.add_argument("--k", type=_int, required=True)
+    p_search.add_argument("--window", type=_int, required=True)
     p_search.add_argument("--relation", choices=["eo", "uniform"], default="eo")
-    p_search.add_argument("--max-nodes", type=int, default=100_000, dest="max_nodes")
-    p_search.add_argument("--round-cap", type=int, default=1000, dest="round_cap")
+    p_search.add_argument("--max-nodes", type=_int, default=100_000, dest="max_nodes")
+    p_search.add_argument("--round-cap", type=_int, default=1000, dest="round_cap")
 
-    p_check = sub.add_parser(
-        "check", parents=[fmt], help="run an exhaustive oracle suite"
-    )
+    p_check = sub.add_parser("check", parents=[fmt], help="run an exhaustive oracle suite")
     p_check.add_argument(
         "--suite",
         required=True,
         choices=["preorder", "inversion", "theorem10", "theorem3", "hasse"],
     )
-    p_check.add_argument("--n", type=int, required=True)
+    p_check.add_argument("--n", type=_int, required=True)
     p_check.add_argument("--support", help="comma-separated naturals (theorem3 only)")
 
     for p_sub, counts in (

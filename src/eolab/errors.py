@@ -5,10 +5,11 @@ exceptions it raises (``from eolab.poset import NoAntichainError`` works);
 """
 
 
-def clip(text: str, limit: int = 80) -> str:
-    """``text`` as an error message may echo it: whole up to ``limit``
-    characters, else its head and its length, however long the input."""
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+def clip(value: object) -> str:
+    """``str(value)`` as an error message may echo it: whole up to 80
+    characters, else its first 80 and its length, however long the input."""
+    text = str(value)
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
 class ExpressionError(ValueError):
@@ -35,7 +36,7 @@ class InsufficientEnumerationError(RuntimeError):
         self.programs = programs
         super().__init__(
             f"insufficient enumeration: {clip(', '.join(programs))} did not emit "
-            f"{k} values within {round_cap} rounds"
+            f"{clip(k)} values within {round_cap} rounds"
         )
 
 

@@ -132,7 +132,7 @@ def check_preorder_laws(n: int) -> OracleReport:
     p's.  ``checked`` counts the cases decided, m + m**3 + m**2 for
     m = n!, not loop iterations.  Cap n <= 5.
     """
-    _require(1 <= n <= 5, f"preorder suite caps at n=5, got {n}")
+    _require(1 <= n <= 5, f"preorder suite caps at n=5, got {clip(n)}")
     perms = list(itertools.permutations(range(n)))
     m = len(perms)
     rows = _leq_rows(perms)
@@ -163,7 +163,7 @@ def check_inversion_equiv(n: int) -> OracleReport:
 
     Cap n <= 6 (518,400 ordered pairs).
     """
-    _require(1 <= n <= 6, f"inversion suite caps at n=6, got {n}")
+    _require(1 <= n <= 6, f"inversion suite caps at n=6, got {clip(n)}")
     perms = list(itertools.permutations(range(n)))
     objects = [fast.OrderPattern(p) for p in perms]
     failures = []
@@ -186,7 +186,7 @@ def check_theorem10(n: int) -> OracleReport:
     module's eo_equiv and uniform — are compared against plain pattern
     equality, for every ordered pair.  Cap n <= 6.
     """
-    _require(1 <= n <= 6, f"theorem10 suite caps at n=6, got {n}")
+    _require(1 <= n <= 6, f"theorem10 suite caps at n=6, got {clip(n)}")
     perms = list(itertools.permutations(range(n)))
     m = len(perms)
     objects = [fast.OrderPattern(p) for p in perms]
@@ -214,13 +214,13 @@ def check_theorem3_finite(n: int, support: Iterable[int]) -> OracleReport:
     itself (checked by the direct biconditional loop).  A repeated support
     value raises DuplicateElementError.  Cap n <= 6.
     """
-    _require(1 <= n <= 6, f"theorem3 suite caps at n=6, got {n}")
+    _require(1 <= n <= 6, f"theorem3 suite caps at n=6, got {clip(n)}")
     support_values = list(support)
     fast._require_distinct(support_values)
     support_values.sort()
     _require(
         len(support_values) == n,
-        f"support must hold exactly {n} distinct naturals, got {clip(str(support_values))}",
+        f"support must hold exactly {n} distinct naturals, got {clip(support_values)}",
     )
     failures = []
     for p in itertools.permutations(range(n)):
@@ -241,7 +241,7 @@ def check_hasse(n: int) -> OracleReport:
     must equal (n-1) * n! / 2.  ``checked`` counts the ordered pairs
     decided plus the count check.  Cap n <= 5.
     """
-    _require(1 <= n <= 5, f"hasse suite caps at n=5, got {n}")
+    _require(1 <= n <= 5, f"hasse suite caps at n=5, got {clip(n)}")
     perms = list(itertools.permutations(range(n)))
     m = len(perms)
     strict = [row & ~(1 << a) for a, row in enumerate(_leq_rows(perms))]
@@ -279,7 +279,7 @@ def brute_force_antichain(n: int, size: int) -> tuple[tuple[int, ...], ...]:
     by plain backtracking over the direct loop; ranks in lexicographic
     order, or NoAntichainError.  Cap n <= 6.
     """
-    _require(1 <= n <= 6, f"antichain brute force caps at n=6, got {n}")
+    _require(1 <= n <= 6, f"antichain brute force caps at n=6, got {clip(n)}")
     perms = list(itertools.permutations(range(n)))
 
     def extend(start: int, chosen: tuple) -> tuple | None:

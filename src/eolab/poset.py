@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .errors import NoAntichainError
+from .errors import NoAntichainError, clip
 from .patterns import PREFIX_SCOPE_NOTE, OrderPattern, eo_leq
 
 #: Largest pattern length build_poset will attempt.
@@ -35,9 +35,9 @@ class PosetRangeError(ValueError):
 
 def _check_n(n: int, cap: int) -> None:
     if cap < 1 or cap > HARD_CAP:
-        raise PosetRangeError(f"cap {cap} outside 1..{HARD_CAP}")
+        raise PosetRangeError(f"cap {clip(cap)} outside 1..{HARD_CAP}")
     if n < 1 or n > cap:
-        raise PosetRangeError(f"pattern length {n} outside 1..{cap}")
+        raise PosetRangeError(f"pattern length {clip(n)} outside 1..{cap}")
 
 
 def all_patterns(n: int, cap: int = HARD_CAP) -> tuple[OrderPattern, ...]:
@@ -195,7 +195,7 @@ def sample_antichain(n: int, size: int, cap: int = HARD_CAP) -> Antichain:
 
     found = extend((1 << len(nodes)) - 1, size)
     if found is None:
-        raise NoAntichainError(f"no antichain of size {size} among length-{n} patterns")
+        raise NoAntichainError(f"no antichain of size {clip(size)} among length-{n} patterns")
     stats = {"comparabilityMasks": len(comparable), "branches": branches}
     return Antichain(frozenset(nodes[i] for i in found), stats=stats)
 

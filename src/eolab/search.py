@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InsufficientEnumerationError
+from .errors import InsufficientEnumerationError, clip
 from .patterns import ListingPrefix, OrderPattern, eo_leq, pattern_of, uniform
 from .vm import DovetailTrace, EnumeratorProgram, Scheduler, dovetail, schedule
 
@@ -80,13 +80,13 @@ class SearchBudget:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise ValueError(f"k must be >= 1, got {clip(self.k)}")
         if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+            raise ValueError(f"window must be >= 1, got {clip(self.window)}")
         if self.max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
+            raise ValueError(f"max_nodes must be >= 1, got {clip(self.max_nodes)}")
         if self.round_cap < 1:
-            raise ValueError(f"round_cap must be >= 1, got {self.round_cap}")
+            raise ValueError(f"round_cap must be >= 1, got {clip(self.round_cap)}")
 
 
 @dataclass(frozen=True)

@@ -147,9 +147,9 @@ def dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> DovetailTrace:
     an error.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {clip(k)}")
     if not 1 <= round_cap <= MAX_ROUND_CAP:
-        raise ValueError(f"round_cap must be in 1..{MAX_ROUND_CAP}, got {round_cap}")
+        raise ValueError(f"round_cap must be in 1..{MAX_ROUND_CAP}, got {clip(round_cap)}")
 
     guard = prog.guard.fn if prog.guard is not None else None
     cost_of, value_of = prog.cost.fn, prog.value.fn
@@ -221,7 +221,7 @@ class Scheduler:
         if self.kind not in SCHEDULER_KINDS:
             raise ValueError(f"unknown scheduler kind {self.kind!r}")
         if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+            raise ValueError(f"window must be >= 1, got {clip(self.window)}")
         if self.choices and self.kind != "explicit":
             raise ValueError(f"choices are only valid for the explicit kind, not {self.kind!r}")
         if any(c < 0 for c in self.choices):
@@ -249,10 +249,10 @@ def schedule(source: NativeSource, sched: Scheduler, k: int) -> ListingPrefix:
     """
     native = _native_elements(source)
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {clip(k)}")
     if k > len(native):
         raise InsufficientPrefixError(
-            f"native prefix has {len(native)} elements, cannot supply {k} outputs"
+            f"native prefix has {len(native)} elements, cannot supply {clip(k)} outputs"
         )
     window = sched.window
     if sched.kind == "native":

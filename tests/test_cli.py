@@ -75,6 +75,10 @@ def test_element_digit_bound_matches_max_element():
     assert _MAX_ELEMENT_DIGITS == len(str(MAX_ELEMENT))
 
 
+#: A number of 4,000 digits, which argparse's ``int`` still accepts.
+_HUGE = "9" * 4000
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -83,8 +87,18 @@ def test_element_digit_bound_matches_max_element():
         ["check", "--suite", "theorem3", "--n", "3", "--support",
          ",".join(map(str, range(100_000)))],
         ["cmp", "--left", "1,2", "--right", "0," + "9" * 100_000],
+        ["check", "--suite", "preorder", "--n", _HUGE],
+        ["poset", "--n", _HUGE],
+        ["poset", "--n", "3", "--cap", "-" + _HUGE],
+        ["run", "--program", prog("evens"), "--k", "-" + _HUGE],
+        ["run", "--program", prog("evens"), "--k", "3", "--round-cap", _HUGE],
+        ["run", "--program", "/" + "p" * 130_000, "--k", "3"],
+        ["search", "--a", prog("evens"), "--b", prog("evens"), "--k", "2",
+         "--window", "1", "--max-nodes", "-" + _HUGE],
     ],
-    ids=["long_element", "long_garbage", "long_support", "long_cmp_element"],
+    ids=["long_element", "long_garbage", "long_support", "long_cmp_element",
+         "huge_suite_n", "huge_poset_n", "huge_cap", "huge_k", "huge_round_cap",
+         "long_path", "huge_max_nodes"],
 )
 def test_error_echo_is_capped(capsys, argv):
     code, out, err = invoke(capsys, *argv)
@@ -113,6 +127,34 @@ def test_program_error_echo_is_capped(capsys, tmp_path, doc):
     assert code in (2, 4) and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poset", "--n", "3", "--antichain", _HUGE],
+        ["run", "--program", prog("evens"), "--k", _HUGE, "--round-cap", "5",
+         "--schedule", "min_first"],
+        ["search", "--a", prog("evens"), "--b", prog("evens"), "--k", _HUGE,
+         "--window", "1", "--round-cap", "3"],
+    ],
+    ids=["antichain", "schedule", "search"],
+)
+def test_huge_size_echo_is_capped(capsys, argv):
+    # Sizes that pass the range checks and fail later, for want of patterns or elements.
+    code, out, err = invoke(capsys, *argv)
+    assert code in (3, 4) and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 1024
+
+
+def test_bad_int_echo_is_capped(capsys):
+    code, out, err = invoke(capsys, "poset", "--n", "x" * 100_000)
+    assert (code, out) == (2, "")
+    assert "error: argument --n: invalid int value: 'xxx" in err
+    assert len(err.encode()) < 1024
+    _, _, short = invoke(capsys, "poset", "--n", "x")
+    assert short.endswith("error: argument --n: invalid int value: 'x'\n")
 
 
 def test_long_program_name_echo_is_capped(capsys, tmp_path):
