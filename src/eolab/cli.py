@@ -72,6 +72,16 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {clip(repr(text))}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with the rejected value clipped in ``invalid choice``."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {clip(repr(value))} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
+
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -321,7 +331,7 @@ def _cmd_check(args) -> tuple[int, str]:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared: do not modify it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eolab",
         description="Workbench for enumeration-order relations on finite listing prefixes.",
     )

@@ -36,19 +36,22 @@ B once per complete A prefix.  It rests on these facts:
   select the same bounds chain (different picks in the same relative
   order, say) share it, and its B nodes are charged, not tested again.
   Below the deepest shared level, frontiers are filled depth-first along
-  A's first choices, so finding a leaf that holds a witness costs about
-  what walking it literally does, however large its frontiers would grow.
-- Each B prefix kept comes from one B test of a fill.  A fill tests B
-  nodes of its own leaf, no two fills share a leaf, and a fill stops
-  before the count so far plus its leaf's B nodes pass max_nodes, so the
-  fills test, and the frontiers hold, at most max_nodes in all.
+  A's first choices, one B candidate at a time, in the order the literal
+  walk of that leaf tests them.
+- Each B prefix kept records the B tests that walk makes at shallower
+  depths before it reaches the prefix: its parent's count, plus c_t for
+  each prefix before the parent in its frontier, plus its own rank, plus
+  one.  So a fill always knows the literal count, and stops at the leaf
+  that decides the search: at the witness, with its exact count and B's
+  choices read up the parent chain, or before the test that would pass
+  max_nodes.
+- Each B prefix kept comes from one B test of a fill.  A fill tests only
+  what the literal walk of its own leaf tests within max_nodes, and no two
+  fills share a leaf, so the fills test, and the frontiers hold, at most
+  max_nodes in all.
 - Once a frontier is empty, no leaf below holds a witness and each costs
   the same B nodes; the subtree's A nodes and leaves depend on its depth
   only, so it is counted in closed form.
-- One leaf at most is walked literally, starting from the exact count:
-  the first whose frontier reaches depth k (it holds the witness), or the
-  first whose walk would pass max_nodes, checked before its frontier is
-  filled any further, so the frontier work stays within the budget.
 """
 
 from __future__ import annotations
@@ -60,6 +63,10 @@ from .patterns import ListingPrefix, OrderPattern, eo_leq, pattern_of, uniform
 from .vm import DovetailTrace, EnumeratorProgram, Scheduler, dovetail, schedule
 
 RELATIONS = ("eo_leq", "uniform")
+
+#: Most nodes a search may explore.  B's frontiers keep at most one
+#: prefix per node, so this bounds their memory too (see the README).
+MAX_NODES = 10**7
 
 #: Fixed restriction statement carried by every report.
 RESTRICTION_NOTE = (
@@ -83,8 +90,8 @@ class SearchBudget:
             raise ValueError(f"k must be >= 1, got {clip(self.k)}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {clip(self.window)}")
-        if self.max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {clip(self.max_nodes)}")
+        if not 1 <= self.max_nodes <= MAX_NODES:
+            raise ValueError(f"max_nodes must be in 1..{MAX_NODES}, got {clip(self.max_nodes)}")
         if self.round_cap < 1:
             raise ValueError(f"round_cap must be >= 1, got {clip(self.round_cap)}")
 
@@ -161,9 +168,8 @@ def _walk(
     ``nodesExplored``; ``bTests``, the B candidates tested while filling
     frontiers, at most max_nodes; ``frontierHits``, the frontier levels
     read from the interned ones; ``aNodes``, the A nodes placed one by
-    one; ``closedFormSubtrees``, the A subtrees (single leaves included)
-    counted in closed form; and ``literalLeafWalk``, whose B nodes count
-    in ``nodesExplored`` alone.
+    one; and ``closedFormSubtrees``, the A subtrees (single leaves
+    included) counted in closed form.
     """
     k, max_nodes = budget.k, budget.max_nodes
     limits = [min(t + budget.window, k) for t in range(k)]
@@ -177,9 +183,10 @@ def _walk(
         leaves[t] = min(cap, widths[t] * leaves[t + 1])
     incoming = [(native_b[limit],) if limit < k else () for limit in limits]
     top = max(native_a + native_b) + 1  # above every value
-    # A frontier element is (B's buffer at its depth, B's last value, parent).
-    # Slot k stays empty: no B prefix is kept past the last output.
-    frontiers = [[(tuple(native_b[: limits[0]]), None, None)]] + [[] for _ in range(k)]
+    # A frontier element is (B's buffer at its depth, B's last value, parent,
+    # the literal walk's B tests at shallower depths before it reaches the
+    # element).  Slot k stays empty: no B prefix is kept past the last output.
+    frontiers = [[(tuple(native_b[: limits[0]]), None, None, 0)]] + [[] for _ in range(k)]
     # Complete frontiers by the bounds chain that selects them:
     # (id of F_u, *bounds(u)) -> (id of F_{u+1}, F_{u+1}); F_0 has id 0.
     interned: dict = {}
@@ -189,7 +196,8 @@ def _walk(
     # B values above the element being expanded; slots k and k + 1 hold
     # -1 and top, so a missing bound is one more index.
     bvalue = [0] * k + [-1, top]
-    tally = dict(aNodes=0, bTests=0, frontierHits=0, closedFormSubtrees=0, literalLeafWalk=False)
+    lo_at, hi_at = [0] * k, [0] * k  # B's bounds at each depth of the fill's path
+    tally = dict(aNodes=0, bTests=0, frontierHits=0, closedFormSubtrees=0)
 
     def bounds(u: int) -> tuple[tuple[int, ...], int, int]:
         # The earlier outputs whose B values bound B's output u: the
@@ -215,14 +223,14 @@ def _walk(
                 hi, succ = value[s], s
         return (pred,), succ, min(pred, succ)
 
-    def fill(d: int) -> int | None:
+    def fill(d: int, room: int) -> int | tuple:
         # Refill frontiers d+1.. along A's first choices below depth d:
-        # first those interned for this bounds chain, their B nodes
-        # charged as if tested, then depth-first.  Returns the shallowest
-        # depth whose frontier is empty, or None when that leaf holds a
-        # witness or its walk would pass the budget.
-        slack = max_nodes - count - (k - d - 1)  # B nodes the leaf may spend
-        marks, empty = [None] * k, None
+        # first those interned for this bounds chain, then depth-first,
+        # testing B's candidates in the order the literal walk of that
+        # leaf tests them; it may test ``room`` B nodes within max_nodes.
+        # Returns the shallowest depth whose frontier is empty or, when
+        # that leaf decides the search, the walk's result.
+        marks = [None] * k
         while True:
             marks[d] = bounds(d)
             hit = interned.get((ids[d], *marks[d]))
@@ -232,47 +240,58 @@ def _walk(
             ids[d + 1], frontiers[d + 1] = hit
             partial[d + 1] = partial[d] + len(frontiers[d]) * widths[d]
             d += 1
-            if partial[d] > slack:
-                return None
             if not frontiers[d]:
                 return d
-        room, spent = slack - partial[d], 0
         for u in range(d + 1, k):
             frontiers[u] = []
-        stack = [(e, d) for e in reversed(frontiers[d])]
+        # The stack holds (B prefix, its depth, its next candidate, its
+        # index in its frontier).  base is the shallower tests of the
+        # current depth-d prefix, so the literal walk is at node
+        # max_nodes - room + base + spent.
+        stack, spent, result = [(e, d, 0, n) for n, e in enumerate(frontiers[d])][::-1], 0, None
         while stack:
-            e, u = stack.pop()
-            if spent + widths[u] > room:
-                break
-            spent += widths[u]
+            e, u, i, n = stack.pop()
             buf = e[0]
-            if u > d:
-                bvalue[u - 1] = e[1]
-            else:  # B's values above depth d come from e's parents, on demand
-                node, s = e, d - 1
-            if marks[u] is None:
-                marks[u] = bounds(u)
-            lows, high, need = marks[u]
-            while s >= need:
-                bvalue[s], node, s = node[1], node[2], s - 1
-            lo, hi = max(map(bvalue.__getitem__, lows)), bvalue[high]
-            if u + 1 == k:  # one candidate left: does it complete a witness?
-                if lo < buf[0] < hi:
+            if i == 0:  # first visit: bound B's output u
+                if u > d:
+                    bvalue[u - 1] = e[1]
+                else:  # B's values above depth d come from e's parents, on demand
+                    node, s, base = e, d - 1, e[3]
+                if marks[u] is None:
+                    marks[u] = bounds(u)
+                lows, high, need = marks[u]
+                while s >= need:
+                    bvalue[s], node, s = node[1], node[2], s - 1
+                lo_at[u], hi_at[u] = max(map(bvalue.__getitem__, lows)), bvalue[high]
+            low, high = lo_at[u], hi_at[u]
+            for i in range(i, len(buf)):
+                if base + spent >= room:
+                    result = "budget_exceeded", max_nodes, None
                     break
-                continue
-            inc = incoming[u]
-            kids = [(buf[:i] + buf[i + 1 :] + inc, y, e) for i, y in enumerate(buf) if lo < y < hi]
-            frontiers[u + 1] += kids
-            stack += zip(reversed(kids), [u + 1] * len(kids))
+                spent += 1
+                y = buf[i]
+                if low < y < high:
+                    if u + 1 == k:  # one candidate left, and it completes a witness
+                        choices = _ranks(pick, limits), _chain_ranks(e)
+                        result = "witness_found", max_nodes - room + base + spent, choices
+                        break
+                    kids = frontiers[u + 1]
+                    kid = (buf[:i] + buf[i + 1 :] + incoming[u], y, e, e[3] + n * widths[u] + i + 1)
+                    stack += (e, u, i + 1, n), (kid, u + 1, 0, len(kids))
+                    kids.append(kid)
+                    break
+            if result:
+                break
         else:
             for empty in range(d + 1, k + 1):
                 partial[empty] = partial[empty - 1] + len(frontiers[empty - 1]) * widths[empty - 1]
                 ids[empty] = len(interned) + 1
                 interned[(ids[empty - 1], *marks[empty - 1])] = ids[empty], frontiers[empty]
                 if not frontiers[empty]:
+                    result = empty
                     break
         tally["bTests"] += spent
-        return empty
+        return result
 
     def finish(status, nodes, found=None):
         if stats is not None:
@@ -297,18 +316,10 @@ def _walk(
         for u in range(d + 1, k):  # A's first choices below: the lowest unused
             j = used.find(0, j + 1, limits[u])
             pick[u], used[j], value[u] = j, 1, native_a[j]
-        s = fill(d)
-        if s is None:
-            # The first leaf below decides the search: walk B literally.
-            count += k - d - 1
+        s = fill(d, max_nodes - count - (k - d - 1))
+        if isinstance(s, tuple):  # the first leaf below decides the search
             tally["aNodes"] += k - d
-            tally["literalLeafWalk"] = True
-            if count > max_nodes:
-                return finish("budget_exceeded", max_nodes)
-            nodes, picks_b = _leaf_walk(value, native_b, limits, relation, count, max_nodes)
-            if picks_b is None:
-                return finish("budget_exceeded", nodes)
-            return finish("witness_found", nodes, (_ranks(pick, limits), _ranks(picks_b, limits)))
+            return finish(*s)
         # The path's A nodes down to depth s, then s's subtree, every
         # leaf of which spends partial[s] B nodes and finds nothing.
         added = s - d - 1 + below[s] + leaves[s] * partial[s]
@@ -324,57 +335,15 @@ def _walk(
     return finish("space_exhausted", count)
 
 
-def _leaf_walk(
-    value_a: list[int],
-    native_b: tuple[int, ...],
-    limits: list[int],
-    relation: str,
-    nodes: int,
-    max_nodes: int,
-) -> tuple[int, list[int] | None]:
-    """B's half of the joint walk for one complete A prefix, counting on
-    from ``nodes``.  Returns the nodes explored and B's picks, or None
-    when the budget ran out.  Only called on a leaf that holds a witness
-    or whose walk passes the budget."""
-    k = len(value_a)
-    top = max(value_a + list(native_b)) + 1
-    pick, value, used = [-1] * k, [0] * k, bytearray(k)
-    lo, hi = [-1] * k, [top] * k
-    t = 0
-    while 0 <= t < k:
-        j = pick[t]
-        if j >= 0:
-            used[j] = 0
-        else:
-            # B's value at t keeps the relation exactly when lo < b < hi.
-            a_t, low, high = value_a[t], -1, top
-            for a, b in zip(value_a[:t], value[:t]):
-                if a < a_t:
-                    if b > low:
-                        low = b
-                elif b < high and relation == "uniform":
-                    high = b
-            lo[t], hi[t] = low, high
-        # Candidates are the unused native indices below the limit, in order.
-        low, high, limit = lo[t], hi[t], limits[t]
-        j += 1
-        while j < limit:
-            if not used[j]:
-                if nodes == max_nodes:
-                    return nodes, None
-                nodes += 1
-                if low < native_b[j] < high:
-                    break
-            j += 1
-        else:
-            pick[t] = -1
-            t -= 1
-            continue
-        pick[t], used[j], value[t] = j, 1, native_b[j]
-        t += 1
-    if t < 0:
-        raise AssertionError("leaf walked to the end without a witness")
-    return nodes, pick
+def _chain_ranks(last: tuple) -> tuple[int, ...]:
+    # B's choices for a witness completed below the frontier element
+    # ``last``: each element's rank in its parent's buffer, then 0, the
+    # last output's only candidate.
+    choices = [0]
+    while last[2] is not None:
+        choices.append(last[2][0].index(last[1]))
+        last = last[2]
+    return tuple(reversed(choices))
 
 
 def _ranks(picks: list[int], limits: list[int]) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from eolab.cli import _MAX_ELEMENT_DIGITS, MAX_PATTERN_LENGTH, build_parser, main
 from eolab.oracle import brute_force_pair_sets
 from eolab.patterns import MAX_ELEMENT, pattern_of
+from eolab.search import MAX_NODES
 
 from conftest import PROGRAMS
 
@@ -155,6 +156,27 @@ def test_bad_int_echo_is_capped(capsys):
     assert len(err.encode()) < 1024
     _, _, short = invoke(capsys, "poset", "--n", "x")
     assert short.endswith("error: argument --n: invalid int value: 'x'\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["z" * 5_000], ["check", "--suite", "z" * 5_000, "--n", "3"],
+     ["pattern", "1,2", "--format", "z" * 5_000]],
+    ids=["subcommand", "suite", "format"],
+)
+def test_invalid_choice_echo_is_capped(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'zzz" in err
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("max_nodes,code", [(MAX_NODES, 0), (MAX_NODES + 1, 2)])
+def test_max_nodes_ceiling(capsys, max_nodes, code):
+    got, _, err = invoke(capsys, "search", "--a", prog("evens"), "--b", prog("evens"),
+                         "--k", "2", "--window", "1", "--max-nodes", str(max_nodes))
+    assert got == code
+    assert (err == "") == (code == 0)
 
 
 def test_long_program_name_echo_is_capped(capsys, tmp_path):
@@ -796,15 +818,15 @@ def test_search_stats_leave_stdout_alone(capsys, fmt):
         "frontierHits": 234,
         "aNodes": 317,
         "closedFormSubtrees": 202,
-        "literalLeafWalk": False,
     }
 
 
-def test_search_stats_literal_leaf_on_witness(capsys):
+def test_search_stats_witness_leaf_tests_are_literal(capsys):
+    # The witness leaf's B nodes are tested once, in the literal walk's order.
     _, _, err = invoke(capsys, "search", "--a", prog("evens"), "--b", prog("evens"),
                        "--k", "4", "--window", "2", "--stats")
     stats = json.loads(err)
-    assert stats["literalLeafWalk"] and stats["nodesExplored"] == 8
+    assert (stats["nodesExplored"], stats["bTests"]) == (8, 4)
 
 
 def test_unexpected_exception_exit_6(capsys, monkeypatch):

@@ -248,22 +248,13 @@ def test_walk_with_shared_frontiers_matches_recursive_reference(case):
 @pytest.mark.parametrize("relation", RELATIONS)
 def test_budget_cut_points_match_recursive_reference(k, w, relation):
     # Rising against falling natives; N is the exhaustion or witness count.
+    # Every budget up to 200 cuts the walk inside an A path, a leaf's B
+    # walk or a subtree counted in closed form; N - 1, N and N + 1 cut it
+    # at its end.
     evens, countdown = load_program("evens"), load_program("countdown")
     search = search_eo_witness if relation == "eo_leq" else search_uniform_witness
-
-    def run(max_nodes):
-        return search(evens, countdown, budget(k=k, w=w, max_nodes=max_nodes))
-
-    n = run(10**7).nodes_explored
-    # A budget m lands inside a subtree counted in closed form when
-    # neither m nor m + 1 sends the walk to a literal leaf: a cut just
-    # before an A node would send m + 1 into that node's first leaf.  At
-    # (6, 4) every such subtree is a single leaf, which a cut walks
-    # literally.
-    literal = [run(m).stats["literalLeafWalk"] for m in range(1, 201)]
-    inside = [m for m in range(1, 200) if not literal[m - 1] and not literal[m]][:1]
-    assert bool(inside) == ((k, w) != (6, 4))
-    for max_nodes in (n - 1, n, n + 1, *inside):
+    n = search(evens, countdown, budget(k=k, w=w, max_nodes=10**7)).nodes_explored
+    for max_nodes in (*range(1, 201), n - 1, n, n + 1):
         b = budget(k=k, w=w, max_nodes=max_nodes)
         assert search(evens, countdown, b) == recursive_witness_search(
             evens, countdown, b, relation
