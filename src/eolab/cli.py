@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from collections.abc import Sequence
 
@@ -83,6 +82,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump_json(obj) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -300,6 +301,8 @@ def _suite_report(args):
 
 
 def _cmd_check(args) -> tuple[int, str]:
+    import json
+
     report = _suite_report(args)
     if args.stats:
         stats = {

@@ -15,9 +15,10 @@ saying so.
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass, field
 from itertools import permutations
+from operator import lt
 
 from .errors import NoAntichainError, clip
 from .patterns import PREFIX_SCOPE_NOTE, OrderPattern, eo_leq
@@ -157,21 +158,59 @@ def max_chain(n: int, cap: int = HARD_CAP) -> Chain:
     return Chain(tuple(chain))
 
 
+def _width(n: int) -> int:
+    """The size of the largest antichain among length-n patterns.  The weak
+    order is Sperner (Gaetz & Gao), so that is its largest inversion-count
+    level: the largest coefficient of (1)(1+q)...(1+q+...+q^(n-1))."""
+    levels = [1]
+    for i in range(2, n + 1):
+        levels = [sum(levels[max(0, k - i + 1) : k + 1]) for k in range(len(levels) + i - 1)]
+    return max(levels)
+
+
+_BINARY = bytes.maketrans(b"\0\1", b"01")
+
+
+def _comparability(perms: list[tuple[int, ...]]):
+    """A function giving, for node index a, the bits of the nodes comparable
+    to ``perms[a]`` (itself included).  Column (i, j) holds bit b iff
+    perms[b][i] < perms[b][j]; the nodes above p ascend at every ascent of
+    p, and those below it descend at every inversion of p."""
+    pos = list(zip(*reversed(perms)))  # int(..., 2) reads the last node's bit first
+    pairs = [(i, j) for i in range(len(pos)) for j in range(i + 1, len(pos))]
+    columns = [int(bytes(map(lt, pos[i], pos[j])).translate(_BINARY), 2) for i, j in pairs]
+    full = (1 << len(perms)) - 1
+
+    def comparable(a: int) -> int:
+        p = perms[a]
+        up = down = full
+        for (i, j), column in zip(pairs, columns):
+            if p[i] < p[j]:
+                up &= column
+            else:
+                down &= ~column
+        return up | down
+
+    return comparable
+
+
 def sample_antichain(n: int, size: int, cap: int = HARD_CAP) -> Antichain:
     """The lexicographically least antichain of the requested size.
 
     Depth-first scan in lexicographic node order with backtracking, so
     an antichain is found whenever one exists; raises NoAntichainError
-    otherwise (e.g. n <= 2, where the poset is a chain).  A branch stops
-    once fewer allowed candidates remain than are still needed.  ``stats``
-    counts the comparability masks built and the branches (candidates) tried.
+    otherwise, at once when ``size`` exceeds the poset's width (e.g.
+    n <= 2, where the poset is a chain).  A branch stops once fewer
+    allowed candidates remain than are still needed.  ``stats`` counts
+    the comparability masks built and the branches (candidates) tried.
     """
     _check_n(n, cap)
     if size < 2:
         raise ValueError(f"antichain size must be >= 2, got {size}")
-    nodes = all_patterns(n, cap)
-    masks = [p.ascent_mask for p in nodes]
-    comparable: dict[int, int] = {}  # node index -> bits of the nodes comparable to it
+    if size > _width(n):
+        raise NoAntichainError(f"no antichain of size {clip(size)} among length-{n} patterns")
+    perms = list(permutations(range(n)))
+    comparable = functools.cache(_comparability(perms))
     branches = 0
 
     def extend(allowed: int, need: int) -> list[int] | None:
@@ -184,31 +223,28 @@ def sample_antichain(n: int, size: int, cap: int = HARD_CAP) -> Antichain:
             lowest = allowed & -allowed
             allowed ^= lowest
             idx = lowest.bit_length() - 1
-            if idx not in comparable:
-                m = masks[idx]
-                bits = "".join("0" if m & ~o and o & ~m else "1" for o in reversed(masks))
-                comparable[idx] = int(bits, 2)
-            found = extend(allowed & ~comparable[idx], need - 1)
+            found = extend(allowed & ~comparable(idx), need - 1)
             if found is not None:
                 return [idx] + found
         return None
 
-    found = extend((1 << len(nodes)) - 1, size)
+    found = extend((1 << len(perms)) - 1, size)
     if found is None:
         raise NoAntichainError(f"no antichain of size {clip(size)} among length-{n} patterns")
-    stats = {"comparabilityMasks": len(comparable), "branches": branches}
-    return Antichain(frozenset(nodes[i] for i in found), stats=stats)
+    stats = {"comparabilityMasks": comparable.cache_info().currsize, "branches": branches}
+    return Antichain(frozenset(OrderPattern(perms[i]) for i in found), stats=stats)
 
 
 def _label(p: OrderPattern) -> str:
-    return "".join(str(v) for v in p.ranks)
+    return "".join(map(str, p.ranks))
 
 
 def _dot(graph: str, patterns, edges) -> str:
     """Graphviz rendering of ``patterns`` with (from, to) index ``edges``."""
+    labels = list(map(_label, patterns))
     lines = [f"digraph pattern_{graph} {{", f'  label="{POSET_SCOPE_NOTE}";']
-    lines.extend(f'  "{_label(p)}";' for p in patterns)
-    lines.extend(f'  "{_label(patterns[a])}" -> "{_label(patterns[b])}";' for a, b in edges)
+    lines.extend(f'  "{label}";' for label in labels)
+    lines.extend(f'  "{labels[a]}" -> "{labels[b]}";' for a, b in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -216,19 +252,20 @@ def _dot(graph: str, patterns, edges) -> str:
 def export(poset: PatternPoset, format: str) -> str:
     """Render the poset as text, DOT or JSON; byte-stable for a fixed input."""
     if format == "text":
+        labels = list(map(_label, poset.nodes))
         lines = [
             f"n: {poset.n}",
-            f"nodes ({len(poset.nodes)}): " + ", ".join(map(_label, poset.nodes)),
+            f"nodes ({len(labels)}): " + ", ".join(labels),
             f"cover edges ({len(poset.hasse)}):",
         ]
-        lines.extend(
-            f"  {_label(poset.nodes[a])} -> {_label(poset.nodes[b])}" for a, b in poset.hasse
-        )
+        lines.extend(f"  {labels[a]} -> {labels[b]}" for a, b in poset.hasse)
         lines.append(f"scope: {POSET_SCOPE_NOTE}")
         return "\n".join(lines) + "\n"
     if format == "dot":
         return _dot("poset", poset.nodes, poset.hasse)
     if format == "json":
+        import json
+
         doc = {
             "n": poset.n,
             "nodes": [p.to_json() for p in poset.nodes],

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,6 +330,17 @@ def test_poset_antichain_unavailable_exit_3(capsys):
     code, _, err = invoke(capsys, "poset", "--n", "2", "--antichain", "2")
     assert code == 3
     assert "no antichain" in err
+
+
+@pytest.mark.parametrize("n,size", [(5, 23), (6, 102)])
+def test_poset_antichain_above_width_exit_3_fast(n, size):
+    # One above the width: a search would take minutes before exiting 3.
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "eolab", "poset", "--n", str(n),
+                           "--antichain", str(size)], capture_output=True, text=True)
+    assert time.monotonic() - start < 1.0
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == f"error: no antichain of size {size} among length-{n} patterns\n"
 
 
 def test_poset_over_cap_exit_2(capsys):

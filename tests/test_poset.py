@@ -5,16 +5,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import time
 
 import pytest
 
-from eolab.oracle import brute_force_antichain
+from eolab.oracle import _leq_rows, brute_force_antichain
 from eolab.patterns import OrderPattern, eo_leq, identity, inversions, reversal
 from eolab.poset import (
     Antichain,
     Chain,
     NoAntichainError,
     PosetRangeError,
+    _comparability,
+    _width,
     all_patterns,
     build_poset,
     export,
@@ -191,6 +194,8 @@ def test_antichain_unavailable():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_antichain_matches_backtracking_oracle(n):
+    # At n <= 4 these sizes run past the width, so sizes above it are
+    # checked against the oracle too.
     for size in range(2, 9):
         try:
             want = brute_force_antichain(n, size)
@@ -199,6 +204,56 @@ def test_antichain_matches_backtracking_oracle(n):
                 sample_antichain(n, size)
             continue
         assert tuple(p.ranks for p in sample_antichain(n, size).sorted_patterns()) == want
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_comparability_masks_match_direct_relation(n):
+    perms = list(itertools.permutations(range(n)))
+    rows = _leq_rows(perms)
+    comparable = _comparability(perms)
+    for a, row in enumerate(rows):
+        below = sum(1 << b for b, other in enumerate(rows) if other >> a & 1)
+        assert comparable(a) == row | below
+
+
+def test_width_is_largest_mahonian_number():
+    assert [_width(n) for n in range(1, 9)] == [1, 1, 2, 6, 22, 101, 573, 3836]
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_antichain_above_width_fails_at_once(n):
+    start = time.monotonic()
+    with pytest.raises(NoAntichainError, match=f"no antichain of size {_width(n) + 1} "):
+        sample_antichain(n, _width(n) + 1)
+    assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_largest_inversion_level_is_an_antichain(n):
+    level = {}
+    for p in all_patterns(n):
+        level.setdefault(len(inversions(p)), []).append(p)
+    largest = max(level.values(), key=len)
+    assert len(Antichain(frozenset(largest))) == _width(n)
+
+
+@pytest.mark.parametrize(
+    "size,ranks,stats",
+    [
+        (12, ["012354", "012435", "014235", "042135", "051234", "132045", "140235",
+              "210345", "213045", "230145", "302145", "401235"],
+         {"comparabilityMasks": 43, "branches": 4278}),
+        (14, ["012354", "012435", "015234", "024135", "042135", "051234", "104235",
+              "132045", "140235", "210345", "213045", "230145", "302145", "401235"],
+         {"comparabilityMasks": 66, "branches": 26821}),
+    ],
+)
+def test_antichain_n6_pinned(size, ranks, stats):
+    # Recorded from the scan on OrderPattern ascent masks that the column
+    # masks replaced; the brute-force oracle takes about 20 s at size 12.
+    got = sample_antichain(6, size)
+    assert ["".join(map(str, p.ranks)) for p in got.sorted_patterns()] == ranks
+    assert got.stats == stats
 
 
 def test_antichain_size_precondition():
