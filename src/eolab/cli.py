@@ -173,36 +173,21 @@ def _cmd_cmp(args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _chain_output(poset, patterns, n: int, key: str, fmt: str) -> str:
-    if fmt == "json":
-        doc = {"n": n, key: [p.to_json() for p in patterns], "scope": poset.POSET_SCOPE_NOTE}
-        return _dump_json(doc)
-    if fmt == "dot":
-        edges = [(i, i + 1) for i in range(len(patterns) - 1)] if key == "chain" else []
-        return poset._dot(key, patterns, edges)
-    return "".join(f"{_fmt_seq(p.ranks)}\n" for p in patterns)
-
-
 def _cmd_poset(args) -> tuple[int, str]:
     from . import poset
 
     if args.chain:
-        chain = poset.max_chain(args.n, cap=args.cap)
-        stats = {"nodes": len(chain), "coverEdges": len(chain) - 1}
-        output = _chain_output(poset, chain.patterns, args.n, "chain", args.format)
+        result = poset.max_chain(args.n)
+        stats = {"nodes": len(result), "coverEdges": len(result) - 1}
     elif args.antichain is not None:
-        if args.antichain < 2:
-            raise UsageError("--antichain size must be >= 2")
-        antichain = poset.sample_antichain(args.n, args.antichain, cap=args.cap)
-        stats = {"nodes": len(antichain), "coverEdges": 0, **antichain.stats}
-        output = _chain_output(poset, antichain.sorted_patterns(), args.n, "antichain", args.format)
+        result = poset.sample_antichain(args.n, args.antichain)
+        stats = {"nodes": len(result), "coverEdges": 0, **result.stats}
     else:
-        whole = poset.build_poset(args.n, cap=args.cap)
-        stats = {"nodes": len(whole.nodes), "coverEdges": len(whole.hasse)}
-        output = poset.export(whole, args.format)
+        result = poset.build_poset(args.n)
+        stats = {"nodes": len(result.nodes), "coverEdges": len(result.hasse)}
     if args.stats:
         sys.stderr.write(_dump_json(stats))
-    return EXIT_OK, output
+    return EXIT_OK, poset.export(result, args.format)
 
 
 def _run_stats(prog, trace) -> dict:
@@ -225,6 +210,9 @@ def _run_stats(prog, trace) -> dict:
 def _cmd_run(args) -> tuple[int, str]:
     from . import patterns, vm
 
+    for option, value in (("--window", args.window), ("--choices", args.choices)):
+        if value is not None and args.schedule is None:
+            raise UsageError(f"{option} is only valid with --schedule")
     prog = vm.parse_program(_read_file(args.program))
     trace = vm.dovetail(prog, args.k, args.round_cap)
     if args.stats:
@@ -232,7 +220,8 @@ def _cmd_run(args) -> tuple[int, str]:
     emitted = trace.emitted
     if args.schedule is not None:
         choices = _parse_naturals(args.choices, "--choices") if args.choices else ()
-        sched = vm.Scheduler(args.schedule, window=args.window, choices=choices)
+        window = 1 if args.window is None else args.window
+        sched = vm.Scheduler(args.schedule, window=window, choices=choices)
         emitted = vm.schedule(trace, sched, args.k).elements
     pattern = patterns.pattern_of(emitted) if emitted else None
     if args.format == "json":
@@ -355,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_poset = sub.add_parser("poset", help="pattern poset, chains and antichains")
     p_poset.add_argument("--n", type=_int, required=True)
     p_poset.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    p_poset.add_argument("--cap", type=_int, default=6, help="raise the length cap (max 8)")
     group = p_poset.add_mutually_exclusive_group()
     group.add_argument("--chain", action="store_true", help="emit a maximum chain")
     group.add_argument("--antichain", type=_int, metavar="SIZE")
@@ -365,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--k", type=_int, required=True)
     p_run.add_argument("--round-cap", type=_int, default=1000, dest="round_cap")
     p_run.add_argument("--schedule", choices=["native", "min_first", "max_first", "explicit"])
-    p_run.add_argument("--window", type=_int, default=1)
+    p_run.add_argument("--window", type=_int, help="buffer size (default 1)")
     p_run.add_argument("--choices", help="comma-separated buffer choices (explicit)")
 
     p_search = sub.add_parser(

@@ -396,30 +396,24 @@ def _compile_bool(node: _BoolNode, source: str) -> Callable[[int], bool]:
 class ArithExpr:
     """A parsed arithmetic expression over the variable i.
 
-    ``fn`` is the expression compiled at parse time; ``evaluate`` calls it.
+    ``evaluate(i)`` runs the closure compiled from it at parse time.
     """
 
     source: str
     root: _ArithNode
-    fn: Callable[[int], int] = field(compare=False, repr=False)
-
-    def evaluate(self, i: int) -> int:
-        return self.fn(i)
+    evaluate: Callable[[int], int] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class GuardExpr:
     """A parsed boolean expression over the variable i.
 
-    ``fn`` is the expression compiled at parse time; ``evaluate`` calls it.
+    ``evaluate(i)`` runs the closure compiled from it at parse time.
     """
 
     source: str
     root: _BoolNode
-    fn: Callable[[int], bool] = field(compare=False, repr=False)
-
-    def evaluate(self, i: int) -> bool:
-        return self.fn(i)
+    evaluate: Callable[[int], bool] = field(compare=False, repr=False)
 
 
 def parse_arith(source: str) -> ArithExpr:

@@ -31,19 +31,17 @@ POSET_SCOPE_NOTE = "finite-prefix analogue of the class order; " + PREFIX_SCOPE_
 
 
 class PosetRangeError(ValueError):
-    """Requested length is outside 1..cap."""
+    """Requested length is outside 1..HARD_CAP."""
 
 
-def _check_n(n: int, cap: int) -> None:
-    if cap < 1 or cap > HARD_CAP:
-        raise PosetRangeError(f"cap {clip(cap)} outside 1..{HARD_CAP}")
-    if n < 1 or n > cap:
-        raise PosetRangeError(f"pattern length {clip(n)} outside 1..{cap}")
+def _check_n(n: int) -> None:
+    if n < 1 or n > HARD_CAP:
+        raise PosetRangeError(f"pattern length {clip(n)} outside 1..{HARD_CAP}")
 
 
-def all_patterns(n: int, cap: int = HARD_CAP) -> tuple[OrderPattern, ...]:
+def all_patterns(n: int) -> tuple[OrderPattern, ...]:
     """All n! patterns of length n in lexicographic order."""
-    _check_n(n, cap)
+    _check_n(n)
     return tuple(OrderPattern(t) for t in permutations(range(n)))
 
 
@@ -52,33 +50,22 @@ class PatternPoset:
     """All length-n patterns with the eo_leq relation and its cover edges.
 
     ``hasse`` holds the cover edges as sorted (lower, upper) index pairs
-    into ``nodes``; comparisons are answered on demand by ``leq``.
+    into ``nodes``; ``eo_leq`` compares any two nodes.
     """
 
     n: int
     nodes: tuple[OrderPattern, ...]
     hasse: tuple[tuple[int, int], ...]
-    _index: dict[OrderPattern, int] = field(compare=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.nodes)})
-
-    def index(self, p: OrderPattern) -> int:
-        return self._index[p]
-
-    def leq(self, p: OrderPattern, q: OrderPattern) -> bool:
-        """Whether node p lies below node q, from the nodes' ascent bitmasks."""
-        return eo_leq(self.nodes[self._index[p]], self.nodes[self._index[q]])
 
 
-def build_poset(n: int, cap: int = HARD_CAP) -> PatternPoset:
+def build_poset(n: int) -> PatternPoset:
     """All length-n patterns and their cover edges, in O(n * n!).
 
     A pattern is covered by exactly the patterns obtained by swapping
     values v+1 and v where v+1 sits left of v, so each node emits one
     edge per such v; there are (n-1) * n! / 2 edges in all.
     """
-    nodes = all_patterns(n, cap)
+    nodes = all_patterns(n)
     index = {p.ranks: i for i, p in enumerate(nodes)}
     hasse = []
     for i, p in enumerate(nodes):
@@ -121,6 +108,8 @@ class Antichain:
 
     def __post_init__(self):
         object.__setattr__(self, "patterns", frozenset(self.patterns))
+        if not self.patterns:
+            raise ValueError("empty antichain")
         items = sorted(self.patterns, key=lambda p: p.ranks)
         for a_i, a in enumerate(items):
             for b in items[a_i + 1 :]:
@@ -134,7 +123,7 @@ class Antichain:
         return tuple(sorted(self.patterns, key=lambda p: p.ranks))
 
 
-def max_chain(n: int, cap: int = HARD_CAP) -> Chain:
+def max_chain(n: int) -> Chain:
     """A longest chain from the reversal to the identity.
 
     Each step removes exactly one inversion by swapping a pair of
@@ -143,7 +132,7 @@ def max_chain(n: int, cap: int = HARD_CAP) -> Chain:
     always fix the leftmost descent, i.e. the first position whose value
     has its predecessor sitting further right.
     """
-    _check_n(n, cap)
+    _check_n(n)
     current = list(range(n - 1, -1, -1))
     chain = [OrderPattern(tuple(current))]
     target = list(range(n))
@@ -194,7 +183,7 @@ def _comparability(perms: list[tuple[int, ...]]):
     return comparable
 
 
-def sample_antichain(n: int, size: int, cap: int = HARD_CAP) -> Antichain:
+def sample_antichain(n: int, size: int) -> Antichain:
     """The lexicographically least antichain of the requested size.
 
     Depth-first scan in lexicographic node order with backtracking, so
@@ -204,9 +193,9 @@ def sample_antichain(n: int, size: int, cap: int = HARD_CAP) -> Antichain:
     allowed candidates remain than are still needed.  ``stats`` counts
     the comparability masks built and the branches (candidates) tried.
     """
-    _check_n(n, cap)
+    _check_n(n)
     if size < 2:
-        raise ValueError(f"antichain size must be >= 2, got {size}")
+        raise ValueError(f"antichain size must be >= 2, got {clip(size)}")
     if size > _width(n):
         raise NoAntichainError(f"no antichain of size {clip(size)} among length-{n} patterns")
     perms = list(permutations(range(n)))
@@ -235,42 +224,43 @@ def sample_antichain(n: int, size: int, cap: int = HARD_CAP) -> Antichain:
     return Antichain(frozenset(OrderPattern(perms[i]) for i in found), stats=stats)
 
 
-def _label(p: OrderPattern) -> str:
-    return "".join(map(str, p.ranks))
-
-
-def _dot(graph: str, patterns, edges) -> str:
-    """Graphviz rendering of ``patterns`` with (from, to) index ``edges``."""
-    labels = list(map(_label, patterns))
-    lines = [f"digraph pattern_{graph} {{", f'  label="{POSET_SCOPE_NOTE}";']
-    lines.extend(f'  "{label}";' for label in labels)
-    lines.extend(f'  "{labels[a]}" -> "{labels[b]}";' for a, b in edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def export(poset: PatternPoset, format: str) -> str:
-    """Render the poset as text, DOT or JSON; byte-stable for a fixed input."""
-    if format == "text":
-        labels = list(map(_label, poset.nodes))
-        lines = [
-            f"n: {poset.n}",
-            f"nodes ({len(labels)}): " + ", ".join(labels),
-            f"cover edges ({len(poset.hasse)}):",
-        ]
-        lines.extend(f"  {labels[a]} -> {labels[b]}" for a, b in poset.hasse)
-        lines.append(f"scope: {POSET_SCOPE_NOTE}")
+def export(result: PatternPoset | Chain | Antichain, format: str) -> str:
+    """Render a poset, a chain or an antichain as text, DOT or JSON;
+    byte-stable for a fixed input.  A chain's DOT edges join each pattern
+    to the next; an antichain has none, and lists its patterns sorted."""
+    if isinstance(result, PatternPoset):
+        graph, patterns, edges = "poset", result.nodes, result.hasse
+    elif isinstance(result, Chain):
+        graph, patterns = "chain", result.patterns
+        edges = [(i, i + 1) for i in range(len(patterns) - 1)]
+    else:
+        graph, patterns, edges = "antichain", result.sorted_patterns(), ()
+    if format == "text" and graph != "poset":
+        return "".join(",".join(map(str, p.ranks)) + "\n" for p in patterns)
+    if format in ("text", "dot"):
+        labels = ["".join(map(str, p.ranks)) for p in patterns]
+        if format == "text":
+            lines = [
+                f"n: {result.n}",
+                f"nodes ({len(labels)}): " + ", ".join(labels),
+                f"cover edges ({len(edges)}):",
+            ]
+            lines.extend(f"  {labels[a]} -> {labels[b]}" for a, b in edges)
+            lines.append(f"scope: {POSET_SCOPE_NOTE}")
+        else:
+            lines = [f"digraph pattern_{graph} {{", f'  label="{POSET_SCOPE_NOTE}";']
+            lines.extend(f'  "{label}";' for label in labels)
+            lines.extend(f'  "{labels[a]}" -> "{labels[b]}";' for a, b in edges)
+            lines.append("}")
         return "\n".join(lines) + "\n"
-    if format == "dot":
-        return _dot("poset", poset.nodes, poset.hasse)
     if format == "json":
         import json
 
-        doc = {
-            "n": poset.n,
-            "nodes": [p.to_json() for p in poset.nodes],
-            "hasse": [[a, b] for a, b in poset.hasse],
-            "scope": POSET_SCOPE_NOTE,
-        }
+        nodes = [p.to_json() for p in patterns]
+        if graph == "poset":
+            doc = {"n": result.n, "nodes": nodes, "hasse": [[a, b] for a, b in edges]}
+        else:
+            doc = {"n": len(patterns[0]), graph: nodes}
+        doc["scope"] = POSET_SCOPE_NOTE
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     raise ValueError(f"unknown export format {format!r} (expected 'text', 'dot' or 'json')")

@@ -151,8 +151,8 @@ def dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> DovetailTrace:
     if not 1 <= round_cap <= MAX_ROUND_CAP:
         raise ValueError(f"round_cap must be in 1..{MAX_ROUND_CAP}, got {clip(round_cap)}")
 
-    guard = prog.guard.fn if prog.guard is not None else None
-    cost_of, value_of = prog.cost.fn, prog.value.fn
+    guard = prog.guard.evaluate if prog.guard is not None else None
+    cost_of, value_of = prog.cost.evaluate, prog.value.evaluate
     due: defaultdict[int, list[int]] = defaultdict(list)  # halting round -> inputs, increasing
     halted: set[int] = set()
     emitted: dict[int, None] = {}  # values in first-emission order

@@ -116,7 +116,7 @@ def test_criterion_05_poset_structure():
 
 def test_poset_n7_cli_covers_are_adjacent_value_swaps():
     start = time.monotonic()
-    proc = eolab("poset", "--n", "7", "--cap", "7", "--format", "json")
+    proc = eolab("poset", "--n", "7", "--format", "json")
     elapsed = time.monotonic() - start
     assert proc.returncode == 0
     assert elapsed < 2.0
@@ -133,7 +133,7 @@ def test_poset_n7_cli_covers_are_adjacent_value_swaps():
 
 def test_build_poset_n8():
     start = time.monotonic()
-    poset = build_poset(8, cap=8)
+    poset = build_poset(8)
     elapsed = time.monotonic() - start
     assert len(poset.nodes) == 40_320
     assert len(poset.hasse) == 141_120

@@ -91,7 +91,7 @@ _HUGE = "9" * 4000
         ["cmp", "--left", "1,2", "--right", "0," + "9" * 100_000],
         ["check", "--suite", "preorder", "--n", _HUGE],
         ["poset", "--n", _HUGE],
-        ["poset", "--n", "3", "--cap", "-" + _HUGE],
+        ["poset", "--n", "3", "--antichain", "-" + _HUGE],
         ["run", "--program", prog("evens"), "--k", "-" + _HUGE],
         ["run", "--program", prog("evens"), "--k", "3", "--round-cap", _HUGE],
         ["run", "--program", "/" + "p" * 130_000, "--k", "3"],
@@ -99,7 +99,7 @@ _HUGE = "9" * 4000
          "--window", "1", "--max-nodes", "-" + _HUGE],
     ],
     ids=["long_element", "long_garbage", "long_support", "long_cmp_element",
-         "huge_suite_n", "huge_poset_n", "huge_cap", "huge_k", "huge_round_cap",
+         "huge_suite_n", "huge_poset_n", "huge_antichain", "huge_k", "huge_round_cap",
          "long_path", "huge_max_nodes"],
 )
 def test_error_echo_is_capped(capsys, argv):
@@ -344,11 +344,12 @@ def test_poset_antichain_above_width_exit_3_fast(n, size):
 
 
 def test_poset_over_cap_exit_2(capsys):
-    code, _, err = invoke(capsys, "poset", "--n", "7")
+    code, out, err = invoke(capsys, "poset", "--n", "9")
+    assert (code, out) == (2, "")
+    assert err == "error: pattern length 9 outside 1..8\n"
+    code, _, err = invoke(capsys, "poset", "--n", "3", "--cap", "6")
     assert code == 2
-    assert "outside" in err
-    code, _, err = invoke(capsys, "poset", "--n", "4", "--cap", "9")
-    assert code == 2
+    assert "unrecognized arguments: --cap" in err
 
 
 def test_poset_antichain_size_one_exit_2(capsys):
@@ -456,6 +457,20 @@ def test_run_choices_rejected_without_explicit(capsys):
     )
     assert code == 2
     assert "explicit" in err
+
+
+@pytest.mark.parametrize("option", [["--choices", "0,0,0"], ["--window", "4"], ["--window", "0"]])
+def test_run_schedule_options_need_a_schedule(capsys, option):
+    code, out, err = invoke(capsys, "run", "--program", prog("evens"), "--k", "3", *option)
+    assert (code, out) == (2, "")
+    assert err == f"error: {option[0]} is only valid with --schedule\n"
+
+
+def test_run_window_zero_with_schedule_exit_2(capsys):
+    code, out, err = invoke(capsys, "run", "--program", prog("evens"), "--k", "3",
+                            "--schedule", "min_first", "--window", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: window must be >= 1, got 0\n"
 
 
 # Worked by hand, as in test_vm.py's steps_charged cases.  Staggered: odd

@@ -64,8 +64,6 @@ def test_all_patterns_range_errors():
         all_patterns(0)
     with pytest.raises(PosetRangeError):
         all_patterns(9)
-    with pytest.raises(PosetRangeError):
-        all_patterns(4, cap=3)
 
 
 # --- build_poset ---------------------------------------------------------
@@ -112,18 +110,18 @@ def test_cover_edges_are_adjacent_value_swaps(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_extremes_reachability(n):
     poset = build_poset(n)
-    top = poset.index(identity(n))
-    bottom = poset.index(reversal(n))
+    top = poset.nodes.index(identity(n))
+    bottom = poset.nodes.index(reversal(n))
     for p in poset.nodes:
-        assert poset.leq(p, poset.nodes[top])
-        assert poset.leq(poset.nodes[bottom], p)
+        assert eo_leq(p, poset.nodes[top])
+        assert eo_leq(poset.nodes[bottom], p)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_leq_agrees_with_direct_oracle(n):
     poset = build_poset(n)
     for p, q in itertools.product(poset.nodes, repeat=2):
-        assert poset.leq(p, q) == direct_leq(p.ranks, q.ranks)
+        assert eo_leq(p, q) == direct_leq(p.ranks, q.ranks)
 
 
 # --- max_chain -----------------------------------------------------------
@@ -160,7 +158,7 @@ def test_max_chain_steps_are_cover_edges(n):
     poset = build_poset(n)
     edges = set(poset.hasse)
     for a, b in zip(max_chain(n).patterns, max_chain(n).patterns[1:]):
-        assert (poset.index(a), poset.index(b)) in edges
+        assert (poset.nodes.index(a), poset.nodes.index(b)) in edges
 
 
 def test_chain_validation():
@@ -264,6 +262,8 @@ def test_antichain_size_precondition():
 def test_antichain_validation():
     with pytest.raises(ValueError):
         Antichain(frozenset({identity(3), reversal(3)}))
+    with pytest.raises(ValueError):
+        Antichain(frozenset())  # export would have no length to report
 
 
 # --- export --------------------------------------------------------------
@@ -291,6 +291,17 @@ def test_export_byte_stable(fmt):
     poset = build_poset(3)
     assert export(poset, fmt) == export(poset, fmt)
     assert export(poset, fmt) == export(build_poset(3), fmt)
+
+
+def test_export_chain_and_antichain():
+    chain, antichain = max_chain(3), sample_antichain(3, 2)
+    assert export(chain, "text") == "2,1,0\n1,2,0\n0,2,1\n0,1,2\n"
+    assert export(chain, "dot").count("->") == 3
+    assert json.loads(export(chain, "json"))["chain"] == [list(p.ranks) for p in chain.patterns]
+    assert export(antichain, "text") == "0,2,1\n1,0,2\n"
+    assert "->" not in export(antichain, "dot")
+    doc = json.loads(export(antichain, "json"))
+    assert (doc["n"], doc["antichain"]) == (3, [[0, 2, 1], [1, 0, 2]])
 
 
 def test_export_unknown_format():
