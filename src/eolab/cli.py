@@ -91,6 +91,21 @@ def _fmt_seq(values) -> str:
     return ",".join(map(str, values))
 
 
+def _text(doc: dict) -> str:
+    """``key: value`` lines: a list comma-joined, None or an empty list as
+    ``none``, a bool in lower case."""
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, bool):
+            value = str(value).lower()
+        elif isinstance(value, list):
+            value = _fmt_seq(value) or "none"
+        elif value is None:
+            value = "none"
+        lines.append(f"{key}: {value}")
+    return "\n".join(lines) + "\n"
+
+
 def _join_pairs(pair_rows, opening: str, sep: str) -> str:
     """The rows of ``patterns._pair_rows`` joined with no pair object or sort:
     pair (i, j), labelled ``l``, as ``{opening}{i},{l}``, the pairs joined by ``sep``."""
@@ -222,34 +237,14 @@ def _cmd_run(args) -> tuple[int, str]:
         choices = _parse_naturals(args.choices, "--choices") if args.choices else ()
         window = 1 if args.window is None else args.window
         sched = vm.Scheduler(args.schedule, window=window, choices=choices)
-        emitted = vm.schedule(trace, sched, args.k).elements
-    pattern = patterns.pattern_of(emitted) if emitted else None
-    if args.format == "json":
-        doc = {
-            "emitted": list(emitted),
-            "pattern": pattern.to_json() if pattern else None,
-            "rounds": trace.rounds,
-            "truncated": trace.truncated,
-        }
-        return EXIT_OK, _dump_json(doc)
-    lines = [
-        f"emitted: {_fmt_seq(emitted) if emitted else 'none'}",
-        f"pattern: {_fmt_seq(pattern.ranks) if pattern else 'none'}",
-        f"rounds: {trace.rounds}",
-        f"truncated: {str(trace.truncated).lower()}",
-    ]
-    return EXIT_OK, "\n".join(lines) + "\n"
-
-
-def _witness_text(report) -> str:
-    lines = []
-    for key, value in report.to_json().items():
-        if isinstance(value, list):
-            value = _fmt_seq(value)
-        elif value is None:
-            value = "none"
-        lines.append(f"{key}: {value}")
-    return "\n".join(lines) + "\n"
+        emitted = vm.schedule(trace, sched, args.k)
+    doc = {
+        "emitted": list(emitted),
+        "pattern": patterns.pattern_of(emitted).to_json() if emitted else None,
+        "rounds": trace.rounds,
+        "truncated": trace.truncated,
+    }
+    return EXIT_OK, _dump_json(doc) if args.format == "json" else _text(doc)
 
 
 def _cmd_search(args) -> tuple[int, str]:
@@ -267,8 +262,8 @@ def _cmd_search(args) -> tuple[int, str]:
     report = find(prog_a, prog_b, budget)
     if args.stats:
         sys.stderr.write(_dump_json(report.stats))
-    text = _dump_json(report.to_json()) if args.format == "json" else _witness_text(report)
-    return _SEARCH_EXITS[report.status], text
+    doc = report.to_json()
+    return _SEARCH_EXITS[report.status], _dump_json(doc) if args.format == "json" else _text(doc)
 
 
 def _suite_report(args):

@@ -24,7 +24,7 @@ limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import EvaluationError, ExpressionError, clip
 
@@ -104,144 +104,123 @@ class _Token(NamedTuple):  # not a frozen dataclass, which is twice as slow to b
     position: int  # 1-based
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
+def _tokenize(source: str) -> Iterator[_Token]:
+    """Scan ``source`` one token at a time, as the parser asks; the last is ``end``."""
     pos = 0
     n = len(source)
     while pos < n:
         ch = source[pos]
+        end = pos + 1
         if ch.isspace():
-            pos += 1
+            pos = end
             continue
-        start = pos + 1
         if ch.isdecimal():  # not isdigit: int() rejects digits such as '²'
-            end = pos
+            kind = "nat"
             while end < n and source[end].isdecimal():
                 end += 1
-            tokens.append(_Token("nat", source[pos:end], start))
-            pos = end
         elif ch.isalpha() or ch == "_":
-            end = pos
+            kind = "ident"
             while end < n and (source[end].isalnum() or source[end] == "_"):
                 end += 1
-            tokens.append(_Token("ident", source[pos:end], start))
-            pos = end
-        elif ch in "+-*()":
-            tokens.append(_Token("op", ch, start))
-            pos += 1
-        elif ch in "=!<":
-            if source[pos : pos + 2] in ("==", "!=", "<="):
-                tokens.append(_Token("op", source[pos : pos + 2], start))
-                pos += 2
-            elif ch == "<":
-                tokens.append(_Token("op", "<", start))
-                pos += 1
-            else:
-                raise ExpressionSyntaxError(f"unexpected character {ch!r}", start)
+        elif source[pos:end + 1] in ("==", "!=", "<="):
+            kind, end = "op", end + 1
+        elif ch in "+-*()<":
+            kind = "op"
         else:
-            raise ExpressionSyntaxError(f"unexpected character {ch!r}", start)
-    tokens.append(_Token("end", "", n + 1))
-    return tokens
+            raise ExpressionSyntaxError(f"unexpected character {ch!r}", pos + 1)
+        yield _Token(kind, source[pos:end], pos + 1)
+        pos = end
+    yield _Token("end", "", n + 1)
 
 
 # --- parser ---------------------------------------------------------------
 
 
 class _Parser:
-    """Recursive descent.  Each method returns ``(node, height)``, so a tree
-    over ``MAX_DEPTH`` levels is rejected at its first node that deep."""
+    """Recursive descent over one token of lookahead.  Each method parses a
+    subtree at most ``room`` levels high and returns ``(node, height)``.
+    Every check on a token, room included, runs before the next token is
+    scanned, so parsing stops at the first fault in reading order.  Tokens
+    are told apart by text, which no two kinds share; only ``factor`` reads
+    ``kind``, to tell a natural from a name."""
 
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
-        self.at = 0
+        self.token = next(self.tokens)
         self.nesting = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.at]
+    def advance(self) -> None:
+        self.token = next(self.tokens)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.at]
-        self.at += 1
-        return tok
+    def chain(self, operand: Callable[[int], tuple], ops: tuple[str, ...], kind, room: int) -> tuple:
+        """``operand (op operand)*`` for ``op`` in ``ops``, joined to the left."""
+        left = operand(room)
+        while (op := self.token.text) in ops:
+            if left[1] == room:
+                raise ExpressionSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 1)
+            self.advance()
+            right = operand(room - 1)
+            left = kind(op, left[0], right[0]), max(left[1], right[1]) + 1
+        return left
 
-    @staticmethod
-    def join(kind, op: str, left: tuple, right: tuple) -> tuple:
-        height = max(left[1], right[1]) + 1
-        if height > MAX_DEPTH:
-            raise ExpressionSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 1)
-        return kind(op, left[0], right[0]), height
-
-    def factor(self) -> tuple[_ArithNode, int]:
-        tok = self.advance()
+    def factor(self, room: int) -> tuple[_ArithNode, int]:
+        tok = self.token
+        if tok.text == "(":
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                raise ExpressionSyntaxError(f"parentheses nest deeper than {MAX_DEPTH}", tok.position)
+            self.advance()
+            inner = self.expr(room)
+            self.nesting -= 1
+            closing = self.token
+            if closing.text != ")":
+                raise ExpressionSyntaxError("expected ')'", closing.position)
+            self.advance()
+            return inner
         if tok.kind == "nat":
             # Length first: int() refuses strings of more than 4,300 digits.
             digits = tok.text.lstrip("0") or "0"
             if len(digits) > len(str(MAX_VALUE)) or int(digits) > MAX_VALUE:
                 raise ExpressionSyntaxError(f"literal {clip(tok.text)} exceeds 64 bits", tok.position)
-            return _Nat(int(digits)), 1
-        if tok.kind == "ident":
-            if tok.text == "i":
-                return _Var(), 1
-            if tok.text in _KEYWORDS:
-                raise ExpressionSyntaxError(f"unexpected keyword {tok.text!r}", tok.position)
+            node = _Nat(int(digits))
+        elif tok.text == "i":
+            node = _Var()
+        elif tok.text in _KEYWORDS:
+            raise ExpressionSyntaxError(f"unexpected keyword {tok.text!r}", tok.position)
+        elif tok.kind == "ident":
             raise UnknownIdentifierError(tok.text, tok.position)
-        if tok.kind == "op" and tok.text == "(":
-            self.nesting += 1
-            if self.nesting > MAX_DEPTH:
-                raise ExpressionSyntaxError(f"parentheses nest deeper than {MAX_DEPTH}", tok.position)
-            inner = self.expr()
-            self.nesting -= 1
-            closing = self.advance()
-            if closing.text != ")":
-                raise ExpressionSyntaxError("expected ')'", closing.position)
-            return inner
-        raise ExpressionSyntaxError(f"expected a natural, 'i' or '(' but found {tok.text or 'end of input'!r}", tok.position)
+        else:
+            raise ExpressionSyntaxError(f"expected a natural, 'i' or '(' but found {tok.text or 'end of input'!r}", tok.position)
+        self.advance()
+        return node, 1
 
-    def term(self) -> tuple[_ArithNode, int]:
-        node = self.factor()
-        while True:
-            tok = self.peek()
-            if (tok.kind == "op" and tok.text == "*") or (tok.kind == "ident" and tok.text == "mod"):
-                self.advance()
-                node = self.join(_Arith, "mod" if tok.text == "mod" else "*", node, self.factor())
-            else:
-                return node
+    def term(self, room: int) -> tuple[_ArithNode, int]:
+        return self.chain(self.factor, ("*", "mod"), _Arith, room)
 
-    def expr(self) -> tuple[_ArithNode, int]:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            op = self.advance().text
-            node = self.join(_Arith, op, node, self.term())
-        return node
+    def expr(self, room: int) -> tuple[_ArithNode, int]:
+        return self.chain(self.term, ("+", "-"), _Arith, room)
 
-    def comparison(self) -> tuple[_Compare, int]:
-        left = self.expr()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in _CMP_OPS:
-            self.advance()
-            return self.join(_Compare, tok.text, left, self.expr())
-        raise GuardTypeError(
-            f"guard requires a comparison (==, !=, <, <=) but found "
-            f"{clip(repr(tok.text or 'end of input'))} at position {tok.position}"
-        )
+    def comparison(self, room: int) -> tuple[_Compare, int]:
+        left, left_height = self.expr(room - 1)
+        tok = self.token
+        if tok.text not in _CMP_OPS:
+            raise GuardTypeError(
+                f"guard requires a comparison (==, !=, <, <=) but found "
+                f"{clip(repr(tok.text or 'end of input'))} at position {tok.position}"
+            )
+        self.advance()
+        right, right_height = self.expr(room - 1)
+        return _Compare(tok.text, left, right), max(left_height, right_height) + 1
 
-    def conj(self) -> tuple[_BoolNode, int]:
-        node = self.comparison()
-        while self.peek().kind == "ident" and self.peek().text == "and":
-            self.advance()
-            node = self.join(_Logic, "and", node, self.comparison())
-        return node
+    def conj(self, room: int) -> tuple[_BoolNode, int]:
+        return self.chain(self.comparison, ("and",), _Logic, room)
 
-    def guard(self) -> tuple[_BoolNode, int]:
-        node = self.conj()
-        while self.peek().kind == "ident" and self.peek().text == "or":
-            self.advance()
-            node = self.join(_Logic, "or", node, self.conj())
-        return node
+    def guard(self, room: int) -> tuple[_BoolNode, int]:
+        return self.chain(self.conj, ("or",), _Logic, room)
 
     def expect_end(self) -> None:
-        tok = self.peek()
-        if tok.kind != "end":
+        tok = self.token
+        if tok.text:
             raise ExpressionSyntaxError(f"unexpected trailing {clip(repr(tok.text))}", tok.position)
 
 
@@ -418,13 +397,13 @@ class GuardExpr:
 
 def parse_arith(source: str) -> ArithExpr:
     parser = _Parser(source)
-    root, _ = parser.expr()
+    root, _ = parser.expr(MAX_DEPTH)
     parser.expect_end()
     return ArithExpr(source, root, _compile_arith(root, source))
 
 
 def parse_guard(source: str) -> GuardExpr:
     parser = _Parser(source)
-    root, _ = parser.guard()
+    root, _ = parser.guard(MAX_DEPTH)
     parser.expect_end()
     return GuardExpr(source, root, _compile_bool(root, source))

@@ -242,10 +242,10 @@ def _native_elements(source: NativeSource) -> tuple[int, ...]:
 def schedule(source: NativeSource, sched: Scheduler, k: int) -> ListingPrefix:
     """Emit the first k elements of the rescheduled enumeration.
 
-    min_first and max_first keep the buffer as a heap keyed on (value,
-    arrival), resp. (-value, arrival), so ties go to the element that
-    arrived first, and run in O(k log w).  The literal buffer loop is
-    ``oracle.brute_force_schedule``.
+    min_first and max_first keep the buffer as a heap of the values,
+    resp. of their negations, and run in O(k log w).  Tied values are
+    equal, so which of them goes first does not change the output.  The
+    literal buffer loop is ``oracle.brute_force_schedule``.
     """
     native = _native_elements(source)
     if k < 1:
@@ -259,15 +259,14 @@ def schedule(source: NativeSource, sched: Scheduler, k: int) -> ListingPrefix:
         return ListingPrefix(native[:k])
     if sched.kind != "explicit":
         sign = 1 if sched.kind == "min_first" else -1
-        heap = [(sign * v, i) for i, v in enumerate(native[:window])]
+        heap = [sign * v for v in native[:window]]
         heapq.heapify(heap)
         out = []
         for i in range(window, window + k):
-            out.append(native[heap[0][1]])
             if i < len(native):
-                heapq.heapreplace(heap, (sign * native[i], i))
+                out.append(sign * heapq.heapreplace(heap, sign * native[i]))
             else:
-                heapq.heappop(heap)
+                out.append(sign * heapq.heappop(heap))
         return ListingPrefix(tuple(out))
     buffer = list(native[:window])
     out = []

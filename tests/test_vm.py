@@ -143,14 +143,38 @@ def test_depth_limit_boundary():
 
 def test_depth_error_precedes_later_syntax_errors():
     """The parser stops at the first node over MAX_DEPTH, so text after it,
-    however malformed, is never parsed."""
+    however malformed, is never read, not even a bad character."""
     too_deep = "+".join(["i"] * (MAX_DEPTH + 1))
     message = f"expression nests deeper than {MAX_DEPTH} levels (at position 1)"
     for parse, source in ((parse_arith, too_deep + " )"), (parse_arith, too_deep + " + j"),
+                          (parse_arith, too_deep + " $"),
+                          (parse_arith, "i + " + "*".join(["i"] * MAX_DEPTH) + " $"),
                           (parse_guard, " or ".join(["i == 1"] * MAX_DEPTH) + " or")):
         with pytest.raises(ExpressionSyntaxError) as caught:
             parse(source)
         assert str(caught.value) == message
+    with pytest.raises(ExpressionSyntaxError) as caught:
+        parse_arith("(" * (MAX_DEPTH + 1) + "$")
+    assert str(caught.value) == f"parentheses nest deeper than {MAX_DEPTH} (at position {MAX_DEPTH + 1})"
+
+
+def test_first_fault_in_reading_order_is_reported():
+    """Tokens are scanned as the parser reads them, so a bad character
+    after the first fault is never reached."""
+    with pytest.raises(GuardTypeError) as caught:
+        parse_guard("i i $")
+    assert str(caught.value).endswith("found 'i' at position 3")
+    with pytest.raises(ExpressionSyntaxError) as caught:
+        parse_arith("i ) $")
+    assert str(caught.value) == "unexpected trailing ')' (at position 3)"
+    with pytest.raises(ExpressionSyntaxError) as caught:
+        parse_arith("mod $")
+    assert str(caught.value) == "unexpected keyword 'mod' (at position 1)"
+    # A comparison's operands have MAX_DEPTH - 1 levels of room, so this one
+    # is too deep at its last '+', before the missing comparison is reached.
+    with pytest.raises(ExpressionSyntaxError) as caught:
+        parse_guard("+".join(["i"] * MAX_DEPTH) + " $")
+    assert str(caught.value) == f"expression nests deeper than {MAX_DEPTH} levels (at position 1)"
 
 
 def _evaluation(evaluate, i):
