@@ -17,18 +17,10 @@ _EXPORTS = {
     "patterns": (
         "ListingPrefix",
         "OrderPattern",
-        "PairSet",
         "apply_pattern",
-        "ascents",
         "eo_equiv",
         "eo_leq",
-        "eo_lt",
-        "identity",
-        "incomparable",
-        "inversions",
         "pattern_of",
-        "prefix_restrict",
-        "reversal",
         "uniform",
     ),
     "poset": ("PatternPoset", "build_poset", "export", "max_chain", "sample_antichain"),

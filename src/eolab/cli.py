@@ -18,6 +18,7 @@ import argparse
 import functools
 import sys
 from collections.abc import Sequence
+from itertools import compress
 
 from .errors import (
     EvaluationError,
@@ -106,15 +107,18 @@ def _text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _join_pairs(pair_rows, opening: str, sep: str) -> str:
-    """The rows of ``patterns._pair_rows`` joined with no pair object or sort:
-    pair (i, j), labelled ``l``, as ``{opening}{i},{l}``, the pairs joined by ``sep``."""
-    rows = []
-    for i, row in enumerate(pair_rows):
-        head = f"{opening}{i},"
-        if body := (sep + head).join(row):
-            rows.append(head + body)
-    return sep.join(rows)
+def _join_pairs(ranks: Sequence[int], opening: str, closing: str, sep: str) -> tuple[str, str]:
+    """The ascents and the inversions of ``ranks``, each index pair (i, j) as
+    ``{opening}{i},{j}{closing}``, joined by ``sep`` in lexicographic order.
+    Each row is selected in C, with no pair object or sort."""
+    tokens = [f"{j}{closing}" for j in range(len(ranks))]
+    up, down = [], []
+    for i, rank in enumerate(ranks):
+        head, later, rest = f"{opening}{i},", tokens[i + 1 :], ranks[i + 1 :]
+        for rows, picks in ((up, rank.__lt__), (down, rank.__gt__)):
+            if body := (sep + head).join(compress(later, map(picks, rest))):
+                rows.append(head + body)
+    return sep.join(up), sep.join(down)
 
 
 def _read_file(path: str) -> str:
@@ -136,9 +140,7 @@ def _cmd_pattern(args) -> tuple[int, str]:
         raise UsageError(f"sequence: at most {MAX_PATTERN_LENGTH} elements, got {len(sequence)}")
     ranks = patterns.pattern_of(sequence).ranks
     opening, closing, sep = ("[", "]", ",") if args.format == "json" else ("(", ")", " ")
-    tokens = [f"{j}{closing}" for j in range(len(ranks))]
-    up, down = (_join_pairs(patterns._pair_rows(ranks, tokens, a), opening, sep)
-                for a in (True, False))
+    up, down = _join_pairs(ranks, opening, closing, sep)
     if args.format == "json":
         # What _dump_json gives for {"pattern", "ascents", "inversions"}.
         doc = f'{{"ascents":[{up}],"inversions":[{down}],"pattern":[{_fmt_seq(ranks)}]}}'

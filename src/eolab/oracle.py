@@ -96,13 +96,12 @@ def _direct_uniform(p, q) -> bool:
     return True
 
 
-def brute_force_pair_sets(p) -> tuple[fast.PairSet, fast.PairSet]:
+def brute_force_pair_sets(p) -> tuple[frozenset, frozenset]:
     """Ascents and inversions of p, literally: the ascending index pairs
     among all of them, and the inversions as their complement."""
-    n = len(p)
-    pairs = frozenset(itertools.combinations(range(n), 2))
+    pairs = frozenset(itertools.combinations(range(len(p)), 2))
     up = frozenset((i, j) for i, j in pairs if p[i] < p[j])
-    return fast.PairSet(up, n), fast.PairSet(pairs - up, n)
+    return up, pairs - up
 
 
 def _require(condition: bool, message: str) -> None:

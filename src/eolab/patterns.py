@@ -7,7 +7,8 @@ the same pattern exactly when they are order-isomorphic position by
 position.  On equal-length patterns this module decides:
 
 - ``eo_leq``: every ascending index pair of the left pattern is ascending
-  in the right one (equivalently, reverse containment of inversion sets);
+  in the right one (equivalently, every inverted pair of the right one is
+  inverted in the left);
 - ``uniform``: positionwise order-isomorphism, i.e. pattern equality;
 - ``eo_equiv``: ``eo_leq`` in both directions (coincides with ``uniform``).
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 #: Elements are naturals that must fit in 64 unsigned bits.
@@ -106,30 +106,6 @@ class OrderPattern:
 
 
 @dataclass(frozen=True)
-class PairSet:
-    """A set of index pairs (i, j) with 0 <= i < j < n."""
-
-    pairs: frozenset[tuple[int, int]]
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        for i, j in self.pairs:
-            if not 0 <= i < j < self.n:
-                raise ValueError(f"pair ({i}, {j}) out of range for length {self.n}")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
-    def to_json(self) -> list[list[int]]:
-        """JSON form: lexicographically sorted array of [i, j] arrays."""
-        return [[i, j] for i, j in sorted(self.pairs)]
-
-
-@dataclass(frozen=True)
 class ListingPrefix:
     """An injective finite sequence of naturals; a prefix of a listing."""
 
@@ -163,20 +139,6 @@ class ListingPrefix:
         return list(self.elements)
 
 
-def identity(n: int) -> OrderPattern:
-    """The sorted pattern [0, 1, ..., n-1]; the unique maximum under eo_leq."""
-    if n < 1:
-        raise ValueError("pattern length must be >= 1")
-    return OrderPattern(tuple(range(n)))
-
-
-def reversal(n: int) -> OrderPattern:
-    """The descending pattern [n-1, ..., 0]; the unique minimum under eo_leq."""
-    if n < 1:
-        raise ValueError("pattern length must be >= 1")
-    return OrderPattern(tuple(range(n - 1, -1, -1)))
-
-
 def pattern_of(prefix: ListingPrefix | Sequence[int]) -> OrderPattern:
     """Canonicalize an injective sequence to its order pattern.
 
@@ -193,33 +155,6 @@ def pattern_of(prefix: ListingPrefix | Sequence[int]) -> OrderPattern:
     return OrderPattern(tuple(rank_by_value[v] for v in prefix.elements))
 
 
-def _pair_rows(ranks: Sequence[int], labels: Sequence, ascending: bool) -> Iterator[Iterator]:
-    """Row i of the ascents (or inversions) of ``ranks``: the ``labels[j]`` of
-    its pairs (i, j), increasing in j, selected in C with no pair objects."""
-    for i, rank in enumerate(ranks):
-        above = rank.__lt__ if ascending else rank.__gt__
-        yield compress(labels[i + 1 :], map(above, ranks[i + 1 :]))
-
-
-def _pair_set(p: OrderPattern, ascending: bool) -> PairSet:
-    rows = _pair_rows(p.ranks, range(len(p)), ascending)
-    return PairSet(frozenset((i, j) for i, row in enumerate(rows) for j in row), len(p))
-
-
-def ascents(p: OrderPattern) -> PairSet:
-    """Index pairs (i, j), i < j, with p[i] < p[j].
-
-    >>> ascents(OrderPattern((1, 0, 2))).to_json()
-    [[0, 2], [1, 2]]
-    """
-    return _pair_set(p, True)
-
-
-def inversions(p: OrderPattern) -> PairSet:
-    """Index pairs (i, j), i < j, with p[i] > p[j]; the pairs not in ascents."""
-    return _pair_set(p, False)
-
-
 def _check_lengths(p: OrderPattern, q: OrderPattern) -> None:
     # Through ranks: OrderPattern.__len__ would add a Python frame per call.
     if len(p.ranks) != len(q.ranks):
@@ -229,9 +164,10 @@ def _check_lengths(p: OrderPattern, q: OrderPattern) -> None:
 def eo_leq(p: OrderPattern, q: OrderPattern) -> bool:
     """Whether every ascent of p is an ascent of q.
 
-    Equivalent to ``ascents(p) <= ascents(q)`` and to
-    ``inversions(q) <= inversions(p)``.  Reflexive; a partial order on
-    equal-length patterns.
+    An ascent is an index pair (i, j), i < j, with p[i] < p[j]; an
+    inversion is any other index pair.  Equivalently, every inversion of q
+    is an inversion of p.  Reflexive; a partial order on equal-length
+    patterns.
 
     >>> eo_leq(OrderPattern((1, 0, 2)), OrderPattern((0, 1, 2)))
     True
@@ -253,11 +189,6 @@ def _first_violation(p: OrderPattern, q: OrderPattern) -> tuple[int, int] | None
     return divmod((diff & -diff).bit_length() - 1, 8 * ((len(p.ranks) + 7) // 8))
 
 
-def eo_lt(p: OrderPattern, q: OrderPattern) -> bool:
-    """Strict variant of eo_leq: related and distinct."""
-    return p != q and eo_leq(p, q)
-
-
 def uniform(p: OrderPattern, q: OrderPattern) -> bool:
     """Positionwise order-isomorphism: for injective sequences this is
     exactly pattern equality."""
@@ -268,11 +199,6 @@ def uniform(p: OrderPattern, q: OrderPattern) -> bool:
 def eo_equiv(p: OrderPattern, q: OrderPattern) -> bool:
     """eo_leq in both directions; coincides with ``uniform`` on patterns."""
     return eo_leq(p, q) and eo_leq(q, p)
-
-
-def incomparable(p: OrderPattern, q: OrderPattern) -> bool:
-    """Neither direction of eo_leq holds."""
-    return not eo_leq(p, q) and not eo_leq(q, p)
 
 
 def _require_distinct(values: Sequence[int]) -> None:
@@ -299,14 +225,3 @@ def apply_pattern(p: OrderPattern, support: Iterable[int]) -> ListingPrefix:
         raise LengthMismatchError(len(p), len(values))
     ordered = sorted(values)
     return ListingPrefix(tuple(ordered[r] for r in p.ranks))
-
-
-def prefix_restrict(p: OrderPattern, k: int) -> OrderPattern:
-    """The pattern of the first k entries of any sequence realizing p.
-
-    >>> prefix_restrict(OrderPattern((2, 0, 3, 1)), 3).ranks
-    (1, 0, 2)
-    """
-    if not 1 <= k <= len(p):
-        raise ValueError(f"prefix length {k} out of range 1..{len(p)}")
-    return pattern_of(p.ranks[:k])

@@ -115,14 +115,6 @@ class WitnessReport:
     #: the outcome, so left out of equality and of ``to_json``.
     stats: dict | None = field(default=None, compare=False, repr=False)
 
-    def witness_schedulers(self) -> tuple[Scheduler, Scheduler]:
-        if self.status != "witness_found":
-            raise ValueError(f"no witness in a report with status {self.status!r}")
-        return (
-            Scheduler("explicit", window=self.window, choices=self.choices_a),
-            Scheduler("explicit", window=self.window, choices=self.choices_b),
-        )
-
     def to_json(self) -> dict:
         return {
             "status": self.status,
@@ -362,8 +354,6 @@ def _search(
     budget: SearchBudget,
     relation: str,
 ) -> WitnessReport:
-    if relation not in RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
     trace_a, trace_b = native_traces(prog_a, prog_b, budget.k, budget.round_cap)
     stats: dict = {}
     status, nodes, found = _walk(trace_a.emitted, trace_b.emitted, budget, relation, stats=stats)
@@ -378,7 +368,8 @@ def _search(
         )
         pat_a, pat_b = pattern_of(prefix_a), pattern_of(prefix_b)
         holds = eo_leq(pat_a, pat_b) if relation == "eo_leq" else uniform(pat_a, pat_b)
-        assert holds, "witness failed replay validation"
+        if not holds:
+            raise AssertionError("witness failed replay validation")
         witness = dict(
             choices_a=choices_a,
             choices_b=choices_b,

@@ -116,11 +116,6 @@ class DovetailTrace:
     inputs_tried: int
     pending: int
 
-    def as_prefix(self) -> ListingPrefix:
-        if not self.emitted:
-            raise InsufficientPrefixError(f"trace of {clip(repr(self.program))} emitted nothing")
-        return ListingPrefix(self.emitted)
-
     def to_json(self) -> dict:
         return {
             "emitted": list(self.emitted),

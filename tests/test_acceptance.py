@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 
 from eolab.oracle import brute_force_witness, check_hasse
-from eolab.patterns import eo_leq, identity, inversions, pattern_of, reversal, uniform
+from eolab.patterns import OrderPattern, eo_leq, pattern_of, uniform
 from eolab.poset import all_patterns, build_poset, max_chain, sample_antichain
 from eolab.search import SearchBudget, search_eo_witness, search_uniform_witness
 from eolab.vm import Scheduler, dovetail, schedule
@@ -51,7 +51,8 @@ def is_cover(a, b) -> bool:
     # In this inversion-graded order, a related pair one inversion apart
     # can have nothing strictly between (nested inversion sets differ in
     # cardinality by at least one per strict step).
-    return eo_leq(a, b) and len(inversions(a)) == len(inversions(b)) + 1
+    inverted = [sum(x > y for x, y in itertools.combinations(p.ranks, 2)) for p in (a, b)]
+    return eo_leq(a, b) and inverted[0] == inverted[1] + 1
 
 
 def test_criterion_01_partial_order_laws():
@@ -153,8 +154,8 @@ def test_criterion_06_chain_analogue():
         assert len(lines) == 16
         patterns = [pattern_of([int(v) for v in line.split(",")]) for line in lines]
         assert [p.ranks for p in patterns] == [p.ranks for p in chain]
-        assert patterns[0] == reversal(6)
-        assert patterns[-1] == identity(6)
+        assert patterns[0] == OrderPattern((5, 4, 3, 2, 1, 0))
+        assert patterns[-1] == OrderPattern((0, 1, 2, 3, 4, 5))
         for a, b in zip(patterns, patterns[1:]):
             assert eo_leq(a, b) and a != b
             assert is_cover(a, b)
@@ -186,7 +187,7 @@ def test_criterion_07_antichain_analogue():
 def test_criterion_08_extremes():
     with criterion(8, "identity is top and reversal is bottom for n <= 6"):
         for n in range(1, 7):
-            top, bottom = identity(n), reversal(n)
+            top, bottom = OrderPattern(tuple(range(n))), OrderPattern(tuple(range(n - 1, -1, -1)))
             for p in all_patterns(n):
                 assert eo_leq(p, top)
                 assert eo_leq(bottom, p)
@@ -197,7 +198,7 @@ def test_criterion_09_vm_determinism_and_order():
         evens = load_program("evens")
         trace = dovetail(evens, k=5, round_cap=100)
         assert trace.emitted == (0, 2, 4, 6, 8)
-        assert pattern_of(trace.as_prefix()) == identity(5)
+        assert pattern_of(trace.emitted) == OrderPattern((0, 1, 2, 3, 4))
 
         staggered = load_program("staggered")
         stag = dovetail(staggered, k=10, round_cap=50)
@@ -324,7 +325,8 @@ def test_criterion_11_search_agreement_with_oracle():
                     continue
                 assert pruned.choices_a == brute.choices_a
                 assert pruned.choices_b == brute.choices_b
-                sched_a, sched_b = pruned.witness_schedulers()
+                sched_a = Scheduler("explicit", window=w, choices=pruned.choices_a)
+                sched_b = Scheduler("explicit", window=w, choices=pruned.choices_b)
                 prefix_a = schedule(dovetail(prog_a, k, 1_000), sched_a, k)
                 prefix_b = schedule(dovetail(prog_b, k, 1_000), sched_b, k)
                 assert prefix_a == pruned.prefix_a and prefix_b == pruned.prefix_b

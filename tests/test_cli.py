@@ -210,9 +210,9 @@ def _reference_pattern_output(sequence, fmt):
     ranks = pattern_of(sequence).ranks
     up, down = brute_force_pair_sets(ranks)
     if fmt == "json":
-        doc = {"pattern": list(ranks), "ascents": up.to_json(), "inversions": down.to_json()}
+        doc = {"pattern": list(ranks), "ascents": sorted(up), "inversions": sorted(down)}
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    pairs = [" ".join(f"({i},{j})" for i, j in sorted(s.pairs)) or "none" for s in (up, down)]
+    pairs = [" ".join(f"({i},{j})" for i, j in sorted(s)) or "none" for s in (up, down)]
     return "pattern: {}\nascents: {}\ninversions: {}\n".format(
         ",".join(map(str, ranks)), *pairs
     )
@@ -864,6 +864,26 @@ def test_unexpected_exception_exit_6(capsys, monkeypatch):
     code, out, err = invoke(capsys, "pattern", "5,2,9")
     assert (code, out) == (6, "")
     assert err == "error: internal error: KeyError: 'boom'\n"
+
+
+def test_witness_replay_check_survives_optimize():
+    # ``python -O`` strips assert statements; the replay check must still
+    # stop a walk whose B choices do not reproduce its witness.
+    script = (
+        "import sys\n"
+        "from eolab import cli, search\n"
+        "walk = search._walk\n"
+        "def broken(*args, **kwargs):\n"
+        "    status, nodes, (choices_a, choices_b) = walk(*args, **kwargs)\n"
+        "    return status, nodes, (choices_a, (0,) * len(choices_b))\n"
+        "search._walk = broken\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["search", "--a", prog("evens"), "--b", prog("countdown"), "--k", "4", "--window", "3"]
+    proc = subprocess.run([sys.executable, "-O", "-c", script, *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (6, "")
+    assert proc.stderr == "error: internal error: AssertionError: witness failed replay validation\n"
 
 
 def test_unknown_subcommand_exit_2(capsys):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,3 +107,13 @@ def test_layers_reexport_the_errors_cli_maps():
     assert vm.InsufficientPrefixError is errors.InsufficientPrefixError
     assert search.InsufficientEnumerationError is errors.InsufficientEnumerationError
     assert poset.NoAntichainError is errors.NoAntichainError
+
+
+def test_readme_python_example_runs(monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    # The example opens its program by bare file name.
+    monkeypatch.chdir(PROGRAMS)
+    for block in blocks:
+        exec(block, {})

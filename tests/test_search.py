@@ -18,7 +18,7 @@ from eolab.search import (
     search_eo_witness,
     search_uniform_witness,
 )
-from eolab.vm import parse_program, schedule
+from eolab.vm import Scheduler, parse_program, schedule
 
 from conftest import load_program, program_pairs
 
@@ -104,7 +104,8 @@ def test_witness_replays_through_scheduler(pair, k, w):
         report = search(prog_a, prog_b, budget(k=k, w=w))
         if report.status != "witness_found":
             continue
-        sched_a, sched_b = report.witness_schedulers()
+        sched_a = Scheduler("explicit", window=w, choices=report.choices_a)
+        sched_b = Scheduler("explicit", window=w, choices=report.choices_b)
         from eolab.vm import dovetail
 
         native_a = dovetail(prog_a, k, 1_000).emitted
