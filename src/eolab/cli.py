@@ -1,10 +1,10 @@
 """Command-line frontend with stable text/JSON output.
 
-Exit codes: 0 success or witness found, 1 oracle suite failure, 2 usage
-or parse error, 3 space exhausted / antichain unavailable, 4 enumeration
+Exit codes: 0 success or witness found, 1 oracle suite failure, 2 input
+error, 3 space exhausted / antichain unavailable, 4 enumeration
 insufficient or arithmetic overflow, 5 node budget exceeded, 6 internal
-error (a bug: any other exception).  Output goes to stdout, diagnostics
-to stderr; identical invocations produce byte-identical output.
+error (a bug, failed re-checks included).  Output goes to stdout,
+diagnostics to stderr; identical invocations produce byte-identical output.
 
 ``main`` may be called any number of times in one process.  The argument
 parser is built on the first call and reused by every later one; each call
@@ -22,7 +22,7 @@ from itertools import compress
 
 from .errors import (
     EvaluationError,
-    ExpressionError,
+    InputError,
     InsufficientEnumerationError,
     InsufficientPrefixError,
     NoAntichainError,
@@ -43,6 +43,12 @@ _SEARCH_EXITS = {
     "budget_exceeded": EXIT_BUDGET,
 }
 
+_EXITS = (
+    (InputError, EXIT_USAGE),
+    (NoAntichainError, EXIT_UNAVAILABLE),
+    ((EvaluationError, InsufficientPrefixError, InsufficientEnumerationError), EXIT_ENUMERATION),
+)
+
 
 #: ``pattern`` prints all n(n-1)/2 index pairs, about 92 MB of text at this length.
 MAX_PATTERN_LENGTH = 4000
@@ -51,16 +57,12 @@ MAX_PATTERN_LENGTH = 4000
 _MAX_ELEMENT_DIGITS = 20
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_naturals(text: str, what: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
     for part in parts:
         # int() rejects digits such as '²', and strings of over 4,300 digits.
         if not part.isdecimal() or len(part.lstrip("0")) > _MAX_ELEMENT_DIGITS:
-            raise UsageError(f"{what}: expected comma-separated naturals, got {clip(repr(part))}")
+            raise InputError(f"{what}: expected comma-separated naturals, got {clip(repr(part))}")
     return tuple(map(int, parts))
 
 
@@ -126,7 +128,9 @@ def _read_file(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise UsageError(f"cannot read {clip(path)}: {exc.strerror or exc}")
+        raise InputError(f"cannot read {clip(path)}: {exc.strerror or exc}")
+    except ValueError as exc:  # a file that is not UTF-8, or a NUL in the path
+        raise InputError(f"cannot read {clip(path)}: {exc}")
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -137,7 +141,7 @@ def _cmd_pattern(args) -> tuple[int, str]:
 
     sequence = _parse_naturals(args.sequence, "sequence")
     if len(sequence) > MAX_PATTERN_LENGTH:
-        raise UsageError(f"sequence: at most {MAX_PATTERN_LENGTH} elements, got {len(sequence)}")
+        raise InputError(f"sequence: at most {MAX_PATTERN_LENGTH} elements, got {len(sequence)}")
     ranks = patterns.pattern_of(sequence).ranks
     opening, closing, sep = ("[", "]", ",") if args.format == "json" else ("(", ")", " ")
     up, down = _join_pairs(ranks, opening, closing, sep)
@@ -229,7 +233,7 @@ def _cmd_run(args) -> tuple[int, str]:
 
     for option, value in (("--window", args.window), ("--choices", args.choices)):
         if value is not None and args.schedule is None:
-            raise UsageError(f"{option} is only valid with --schedule")
+            raise InputError(f"{option} is only valid with --schedule")
     prog = vm.parse_program(_read_file(args.program))
     trace = vm.dovetail(prog, args.k, args.round_cap)
     if args.stats:
@@ -273,10 +277,10 @@ def _suite_report(args):
 
     if args.suite == "theorem3":
         if args.support is None:
-            raise UsageError("--suite theorem3 requires --support")
+            raise InputError("--suite theorem3 requires --support")
         return oracle.check_theorem3_finite(args.n, _parse_naturals(args.support, "--support"))
     if args.support is not None:
-        raise UsageError(f"--support is only valid with --suite theorem3, not {args.suite}")
+        raise InputError(f"--support is only valid with --suite theorem3, not {args.suite}")
     runners = {
         "preorder": oracle.check_preorder_laws,
         "inversion": oracle.check_inversion_equiv,
@@ -391,18 +395,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, output = globals()[f"_cmd_{args.command}"](args)
-    except NoAntichainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNAVAILABLE
-    except (InsufficientEnumerationError, InsufficientPrefixError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENUMERATION
-    except (UsageError, ExpressionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # a bug; never exit 1, which means a suite failed
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:  # outside _EXITS, a bug; never exit 1, which means a suite failed
+        code = next((c for family, c in _EXITS if isinstance(exc, family)), EXIT_INTERNAL)
+        message = f"internal error: {type(exc).__name__}: {exc}" if code == EXIT_INTERNAL else exc
+        print(f"error: {message}", file=sys.stderr)
+        return code
     sys.stdout.write(output)
     return code
 

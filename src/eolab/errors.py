@@ -1,7 +1,6 @@
-"""The exceptions the CLI maps to exit codes, and ``clip`` for what error
-messages echo, in a module with no imports.  Each layer re-exports the
-exceptions it raises (``from eolab.poset import NoAntichainError`` works);
-``eolab.cli`` imports them from here, to catch them without loading a layer.
+"""The exception families ``eolab.cli`` maps to exit codes, and ``clip`` for
+what error messages echo.  It imports nothing, so the CLI maps them without
+loading a layer; each layer re-exports the exceptions it raises.
 """
 
 
@@ -12,7 +11,11 @@ def clip(value: object) -> str:
     return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
-class ExpressionError(ValueError):
+class InputError(ValueError):
+    """Something the user supplied (argv, a file or a program) is invalid."""
+
+
+class ExpressionError(InputError):
     """Base for anything wrong with an expression's text."""
 
 

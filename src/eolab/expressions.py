@@ -18,7 +18,7 @@ raises instead of wrapping.  Each expression is compiled once, at parse
 time, into nested closures.  Parentheses may nest, and the syntax tree
 may grow, at most ``MAX_DEPTH`` levels deep, so that parsing, compiling
 and the compiled closures' calls stay well inside the default recursion
-limit.
+limit.  Text over ``MAX_LENGTH`` characters is rejected before scanning.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import EvaluationError, ExpressionError, clip
 
 MAX_VALUE = 2**64 - 1
 MAX_DEPTH = 100
+MAX_LENGTH = 16_384
 
 _KEYWORDS = {"mod", "and", "or"}
 _CMP_OPS = {"==", "!=", "<", "<="}
@@ -145,6 +146,8 @@ class _Parser:
     ``kind``, to tell a natural from a name."""
 
     def __init__(self, source: str):
+        if len(source) > MAX_LENGTH:
+            raise ExpressionSyntaxError(f"expression of {len(source)} characters exceeds {MAX_LENGTH}", MAX_LENGTH + 1)
         self.tokens = _tokenize(source)
         self.token = next(self.tokens)
         self.nesting = 0

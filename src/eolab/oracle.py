@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import patterns as fast
-from .errors import clip
+from .errors import InputError, clip
 from .expressions import (
     MAX_VALUE,
     CheckedOverflowError,
@@ -47,7 +47,7 @@ from .vm import (
 )
 
 
-class OracleCapError(ValueError):
+class OracleCapError(InputError):
     """A suite was asked to exceed its stated size cap."""
 
 

@@ -25,6 +25,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .errors import InputError
+
 #: Elements are naturals that must fit in 64 unsigned bits.
 MAX_ELEMENT = 2**64 - 1
 
@@ -35,7 +37,7 @@ PREFIX_SCOPE_NOTE = (
 )
 
 
-class DuplicateElementError(ValueError):
+class DuplicateElementError(InputError):
     """A sequence that must be injective repeats a value."""
 
     def __init__(self, value: int, first_index: int, second_index: int):
@@ -47,7 +49,7 @@ class DuplicateElementError(ValueError):
         )
 
 
-class LengthMismatchError(ValueError):
+class LengthMismatchError(InputError):
     """Two sequences that must have equal length do not."""
 
     def __init__(self, left_length: int, right_length: int):
@@ -115,13 +117,13 @@ class ListingPrefix:
         elements = tuple(self.elements)
         object.__setattr__(self, "elements", elements)
         if not elements:
-            raise ValueError("empty prefix (length must be >= 1)")
+            raise InputError("empty prefix (length must be >= 1)")
         seen: dict[int, int] = {}
         for pos, value in enumerate(elements):
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"element at position {pos} is not a natural: {value!r}")
+                raise InputError(f"element at position {pos} is not a natural: {value!r}")
             if value < 0 or value > MAX_ELEMENT:
-                raise ValueError(f"element {value} at position {pos} outside 0..{MAX_ELEMENT}")
+                raise InputError(f"element {value} at position {pos} outside 0..{MAX_ELEMENT}")
             if value in seen:
                 raise DuplicateElementError(value, seen[value], pos)
             seen[value] = pos

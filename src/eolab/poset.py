@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from operator import lt
 
-from .errors import NoAntichainError, clip
+from .errors import InputError, NoAntichainError, clip
 from .patterns import PREFIX_SCOPE_NOTE, OrderPattern, eo_leq
 
 #: Largest pattern length build_poset will attempt.
@@ -30,7 +30,7 @@ HARD_CAP = 8
 POSET_SCOPE_NOTE = "finite-prefix analogue of the class order; " + PREFIX_SCOPE_NOTE
 
 
-class PosetRangeError(ValueError):
+class PosetRangeError(InputError):
     """Requested length is outside 1..HARD_CAP."""
 
 
@@ -195,7 +195,7 @@ def sample_antichain(n: int, size: int) -> Antichain:
     """
     _check_n(n)
     if size < 2:
-        raise ValueError(f"antichain size must be >= 2, got {clip(size)}")
+        raise InputError(f"antichain size must be >= 2, got {clip(size)}")
     if size > _width(n):
         raise NoAntichainError(f"no antichain of size {clip(size)} among length-{n} patterns")
     perms = list(permutations(range(n)))

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InsufficientEnumerationError, clip
+from .errors import InputError, InsufficientEnumerationError, clip
 from .patterns import ListingPrefix, OrderPattern, eo_leq, pattern_of, uniform
 from .vm import DovetailTrace, EnumeratorProgram, Scheduler, dovetail, schedule
 
@@ -87,13 +87,13 @@ class SearchBudget:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {clip(self.k)}")
+            raise InputError(f"k must be >= 1, got {clip(self.k)}")
         if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {clip(self.window)}")
+            raise InputError(f"window must be >= 1, got {clip(self.window)}")
         if not 1 <= self.max_nodes <= MAX_NODES:
-            raise ValueError(f"max_nodes must be in 1..{MAX_NODES}, got {clip(self.max_nodes)}")
+            raise InputError(f"max_nodes must be in 1..{MAX_NODES}, got {clip(self.max_nodes)}")
         if self.round_cap < 1:
-            raise ValueError(f"round_cap must be >= 1, got {clip(self.round_cap)}")
+            raise InputError(f"round_cap must be >= 1, got {clip(self.round_cap)}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from .errors import EvaluationError, InsufficientPrefixError, clip
+from .errors import EvaluationError, InputError, InsufficientPrefixError, clip
 from .expressions import ArithExpr, GuardExpr, parse_arith, parse_guard
 from .patterns import ListingPrefix
 
@@ -30,11 +30,11 @@ SCHEDULER_KINDS = ("native", "min_first", "max_first", "explicit")
 MAX_ROUND_CAP = 10**6  # dovetail takes time and memory linear in its round cap
 
 
-class ProgramError(ValueError):
+class ProgramError(InputError):
     """A program document is malformed."""
 
 
-class ChoiceError(ValueError):
+class ChoiceError(InputError):
     """An explicit scheduler choice does not index the current buffer."""
 
     def __init__(self, step: int, message: str):
@@ -142,9 +142,9 @@ def dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> DovetailTrace:
     an error.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {clip(k)}")
+        raise InputError(f"k must be >= 1, got {clip(k)}")
     if not 1 <= round_cap <= MAX_ROUND_CAP:
-        raise ValueError(f"round_cap must be in 1..{MAX_ROUND_CAP}, got {clip(round_cap)}")
+        raise InputError(f"round_cap must be in 1..{MAX_ROUND_CAP}, got {clip(round_cap)}")
 
     guard = prog.guard.evaluate if prog.guard is not None else None
     cost_of, value_of = prog.cost.evaluate, prog.value.evaluate
@@ -214,13 +214,13 @@ class Scheduler:
     def __post_init__(self):
         object.__setattr__(self, "choices", tuple(self.choices))
         if self.kind not in SCHEDULER_KINDS:
-            raise ValueError(f"unknown scheduler kind {self.kind!r}")
+            raise InputError(f"unknown scheduler kind {self.kind!r}")
         if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {clip(self.window)}")
+            raise InputError(f"window must be >= 1, got {clip(self.window)}")
         if self.choices and self.kind != "explicit":
-            raise ValueError(f"choices are only valid for the explicit kind, not {self.kind!r}")
+            raise InputError(f"choices are only valid for the explicit kind, not {self.kind!r}")
         if any(c < 0 for c in self.choices):
-            raise ValueError("choices must be naturals")
+            raise InputError("choices must be naturals")
 
 
 NativeSource = Union[DovetailTrace, ListingPrefix, Sequence[int]]
@@ -244,7 +244,7 @@ def schedule(source: NativeSource, sched: Scheduler, k: int) -> ListingPrefix:
     """
     native = _native_elements(source)
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {clip(k)}")
+        raise InputError(f"k must be >= 1, got {clip(k)}")
     if k > len(native):
         raise InsufficientPrefixError(
             f"native prefix has {len(native)} elements, cannot supply {clip(k)} outputs"

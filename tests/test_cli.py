@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
+import inspect
 import io
 import json
+import pkgutil
 import subprocess
 import sys
 import time
@@ -12,9 +15,19 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eolab
 from eolab.cli import _MAX_ELEMENT_DIGITS, MAX_PATTERN_LENGTH, build_parser, main
+from eolab.errors import (
+    EvaluationError,
+    InputError,
+    InsufficientEnumerationError,
+    InsufficientPrefixError,
+    NoAntichainError,
+)
+from eolab.expressions import MAX_LENGTH
 from eolab.oracle import brute_force_pair_sets
-from eolab.patterns import MAX_ELEMENT, pattern_of
+from eolab.patterns import MAX_ELEMENT, OrderPattern, pattern_of
+from eolab.poset import Chain
 from eolab.search import MAX_NODES
 
 from conftest import PROGRAMS
@@ -559,6 +572,35 @@ def test_run_missing_file_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_run_file_not_utf8_exit_2(capsys, tmp_path):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"\xff")
+    code, out, err = invoke(capsys, "run", "--program", str(latin1), "--k", "2")
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read {latin1}: 'utf-8' codec can't decode byte 0xff "
+                   "in position 0: invalid start byte\n")
+
+
+def test_run_path_with_nul_exit_2(capsys):
+    code, out, err = invoke(capsys, "run", "--program", "a\0b.json", "--k", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read a\0b.json: embedded null byte\n"
+
+
+@pytest.mark.parametrize("length,code", [(MAX_LENGTH, 0), (MAX_LENGTH + 1, 2)])
+def test_run_expression_length_ceiling(capsys, tmp_path, length, code):
+    # The ceiling counts characters, blanks included; it is checked before scanning.
+    program = tmp_path / "long.json"
+    program.write_text(json.dumps({"name": "long", "value": "i".ljust(length), "cost": "1"}),
+                       encoding="utf-8")
+    got, out, err = invoke(capsys, "run", "--program", str(program), "--k", "2")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == (f"error: expression of {length} characters exceeds {MAX_LENGTH} "
+                       f"(at position {MAX_LENGTH + 1})\n")
+
+
 def test_run_overflow_exit_4(capsys, tmp_path):
     boom = tmp_path / "boom.json"
     boom.write_text(
@@ -864,6 +906,46 @@ def test_unexpected_exception_exit_6(capsys, monkeypatch):
     code, out, err = invoke(capsys, "pattern", "5,2,9")
     assert (code, out) == (6, "")
     assert err == "error: internal error: KeyError: 'boom'\n"
+
+
+@pytest.mark.parametrize(
+    "target,broken,argv,message",
+    [
+        ("eolab.poset._comparability", lambda perms: lambda idx: 0,
+         ["poset", "--n", "4", "--antichain", "3"],
+         "patterns (0, 1, 2, 3) and (0, 1, 3, 2) are comparable"),
+        ("eolab.poset.max_chain", lambda n: Chain((OrderPattern((0, 2, 1)), OrderPattern((1, 0, 2)))),
+         ["poset", "--n", "3", "--chain"],
+         "consecutive patterns (0, 2, 1) and (1, 0, 2) not strictly related"),
+        ("eolab.patterns.pattern_of", lambda values: OrderPattern((0, 0)),
+         ["pattern", "1,2"],
+         "ranks (0, 0) are not a permutation of 0..1"),
+    ],
+    ids=["comparability", "max_chain", "pattern_of"],
+)
+def test_failed_certificate_exit_6(capsys, monkeypatch, target, broken, argv, message):
+    # A fast path whose answer fails its own re-check is a bug, not bad input.
+    monkeypatch.setattr(target, broken)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (6, "")
+    assert err == f"error: internal error: ValueError: {message}\n"
+
+
+def test_every_exception_has_an_exit_code():
+    """Each exception class eolab defines is an input error (exit 2), or in a
+    family that exits 3 or 4; a check raising any other class exits 6."""
+    families = (InputError, NoAntichainError, EvaluationError, InsufficientPrefixError,
+                InsufficientEnumerationError)
+    unmapped = set()
+    for info in pkgutil.iter_modules(eolab.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module(f"eolab.{info.name}")
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and issubclass(cls, BaseException)
+                    and cls.__module__ == module.__name__ and not issubclass(cls, families)):
+                unmapped.add(f"{info.name}.{cls.__name__}")
+    assert unmapped == {"oracle._BudgetHit"}  # private: the search catches it
 
 
 def test_witness_replay_check_survives_optimize():

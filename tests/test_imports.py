@@ -72,7 +72,8 @@ def test_version_loads_no_layer():
 
 
 def test_public_name_loads_only_its_layer():
-    assert _loaded_after("from eolab import pattern_of") == {"eolab", "eolab.patterns"}
+    # eolab.errors is no layer: it imports nothing, and every layer's input errors derive from it.
+    assert _loaded_after("from eolab import pattern_of") == {"eolab", "eolab.errors", "eolab.patterns"}
 
 
 def test_public_names_resolve_to_their_modules_objects():
