@@ -109,16 +109,18 @@ def _text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _join_pairs(ranks: Sequence[int], opening: str, closing: str, sep: str) -> tuple[str, str]:
-    """The ascents and the inversions of ``ranks``, each index pair (i, j) as
-    ``{opening}{i},{j}{closing}``, joined by ``sep`` in lexicographic order.
-    Each row is selected in C, with no pair object or sort."""
-    tokens = [f"{j}{closing}" for j in range(len(ranks))]
+def _join_pairs(p, opening: str, closing: str, sep: str) -> tuple[str, str]:
+    """The ascents and the inversions of the pattern ``p``, each index pair (i, j)
+    as ``{opening}{i},{j}{closing}``, joined by ``sep`` in lexicographic order.
+    Each row is selected in C by the digits of ``p.ascent_mask``, never compared."""
+    from .patterns import _ascent_rows
+    tokens = [f"{j}{closing}" for j in range(len(p.ranks))]
     up, down = [], []
-    for i, rank in enumerate(ranks):
-        head, later, rest = f"{opening}{i},", tokens[i + 1 :], ranks[i + 1 :]
-        for rows, picks in ((up, rank.__lt__), (down, rank.__gt__)):
-            if body := (sep + head).join(compress(later, map(picks, rest))):
+    picks = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"01", b"\1\0")  # up keeps 1s, down 0s
+    for i, digits in enumerate(_ascent_rows(p)):
+        head, later = f"{opening}{i},", tokens[i + 1 :]
+        for rows, pick in zip((up, down), picks):
+            if body := (sep + head).join(compress(later, digits.translate(pick))):
                 rows.append(head + body)
     return sep.join(up), sep.join(down)
 
@@ -128,9 +130,9 @@ def _read_file(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise InputError(f"cannot read {clip(path)}: {exc.strerror or exc}")
+        raise InputError(f"cannot read {clip(repr(path))}: {exc.strerror or exc}")
     except ValueError as exc:  # a file that is not UTF-8, or a NUL in the path
-        raise InputError(f"cannot read {clip(path)}: {exc}")
+        raise InputError(f"cannot read {clip(repr(path))}: {exc}")
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -142,14 +144,14 @@ def _cmd_pattern(args) -> tuple[int, str]:
     sequence = _parse_naturals(args.sequence, "sequence")
     if len(sequence) > MAX_PATTERN_LENGTH:
         raise InputError(f"sequence: at most {MAX_PATTERN_LENGTH} elements, got {len(sequence)}")
-    ranks = patterns.pattern_of(sequence).ranks
+    p = patterns.pattern_of(sequence)
     opening, closing, sep = ("[", "]", ",") if args.format == "json" else ("(", ")", " ")
-    up, down = _join_pairs(ranks, opening, closing, sep)
+    up, down = _join_pairs(p, opening, closing, sep)
     if args.format == "json":
         # What _dump_json gives for {"pattern", "ascents", "inversions"}.
-        doc = f'{{"ascents":[{up}],"inversions":[{down}],"pattern":[{_fmt_seq(ranks)}]}}'
+        doc = f'{{"ascents":[{up}],"inversions":[{down}],"pattern":[{_fmt_seq(p.ranks)}]}}'
         return EXIT_OK, doc + "\n"
-    text = f"pattern: {_fmt_seq(ranks)}\nascents: {up or 'none'}\ninversions: {down or 'none'}\n"
+    text = f"pattern: {_fmt_seq(p.ranks)}\nascents: {up or 'none'}\ninversions: {down or 'none'}\n"
     return EXIT_OK, text
 
 

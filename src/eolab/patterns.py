@@ -93,8 +93,8 @@ class OrderPattern:
 
     @functools.cached_property
     def ascent_mask(self) -> int:
-        """The ascent set as an int, built in O(n) int operations on first
-        use: p ≤eo q exactly when ``p.ascent_mask & ~q.ascent_mask == 0``."""
+        """The ascent set as an int, built in O(n) int operations on first use.
+        p ≤eo q exactly when ``p.ascent_mask & ~q.ascent_mask == 0``; ``pattern`` prints its bits."""
         # Row i, at bit offset i*8*width, has bit j set for each ascent
         # (i, j); ``above`` holds the positions of the values above p[i].
         n = len(self.ranks)
@@ -189,6 +189,13 @@ def _first_violation(p: OrderPattern, q: OrderPattern) -> tuple[int, int] | None
         return None
     # Row i of a mask starts at bit i * 8 * width (see ``ascent_mask``).
     return divmod((diff & -diff).bit_length() - 1, 8 * ((len(p.ranks) + 7) // 8))
+
+
+def _ascent_rows(p: OrderPattern) -> Iterator[bytes]:
+    """Row i of ``p.ascent_mask`` as one digit per j > i: b"1" for an ascent (i, j), else b"0"."""
+    n, stride = len(p.ranks), 8 * ((len(p.ranks) + 7) // 8)
+    digits = format(p.ascent_mask, "b")[::-1].ljust(n * stride, "0").encode()  # bit 0 first
+    return (digits[i * stride + i + 1 : i * stride + n] for i in range(n))
 
 
 def uniform(p: OrderPattern, q: OrderPattern) -> bool:

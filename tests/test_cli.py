@@ -8,6 +8,7 @@ import inspect
 import io
 import json
 import pkgutil
+import random
 import subprocess
 import sys
 import time
@@ -247,6 +248,17 @@ def _pattern_stdout(sequence, fmt):
 def test_pattern_output_matches_literal_reference(ranks, fmt):
     sequence = [7 * r + 3 for r in ranks]
     assert _pattern_stdout(sequence, fmt) == _reference_pattern_output(sequence, fmt)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pattern_output_at_mask_byte_boundaries(n, fmt):
+    # Each mask row is padded to whole bytes, and the reversal's mask is 0,
+    # so every one of its digits is a leading zero that ``format`` drops.
+    shuffled = random.Random(n).sample(range(n), n)
+    for ranks in (range(n), range(n - 1, -1, -1), shuffled):
+        sequence = [7 * r + 3 for r in ranks]
+        assert _pattern_stdout(sequence, fmt) == _reference_pattern_output(sequence, fmt)
 
 
 @pytest.mark.parametrize(
@@ -577,14 +589,22 @@ def test_run_file_not_utf8_exit_2(capsys, tmp_path):
     latin1.write_bytes(b"\xff")
     code, out, err = invoke(capsys, "run", "--program", str(latin1), "--k", "2")
     assert (code, out) == (2, "")
-    assert err == (f"error: cannot read {latin1}: 'utf-8' codec can't decode byte 0xff "
+    assert err == (f"error: cannot read {str(latin1)!r}: 'utf-8' codec can't decode byte 0xff "
                    "in position 0: invalid start byte\n")
 
 
 def test_run_path_with_nul_exit_2(capsys):
     code, out, err = invoke(capsys, "run", "--program", "a\0b.json", "--k", "2")
     assert (code, out) == (2, "")
-    assert err == "error: cannot read a\0b.json: embedded null byte\n"
+    assert err == "error: cannot read 'a\\x00b.json': embedded null byte\n"
+
+
+def test_run_path_with_escape_sequence_is_echoed_escaped(capsys, tmp_path):
+    # An escape sequence in a path must not reach the terminal raw.
+    path = str(tmp_path / "\x1b[31mred.json")
+    code, out, err = invoke(capsys, "run", "--program", path, "--k", "2")
+    assert (code, out) == (2, "")
+    assert "\x1b" not in err and "\\x1b[31mred.json" in err
 
 
 @pytest.mark.parametrize("length,code", [(MAX_LENGTH, 0), (MAX_LENGTH + 1, 2)])

@@ -68,7 +68,7 @@ def pair_sets(p):
     ``eolab pattern`` prints for them."""
     return tuple(
         frozenset(tuple(map(int, pair.strip("()").split(","))) for pair in joined.split())
-        for joined in _join_pairs(p.ranks, "(", ")", " ")
+        for joined in _join_pairs(p, "(", ")", " ")
     )
 
 
@@ -173,7 +173,7 @@ def test_pair_sets_agree_with_literal_reference_long(ranks):
 
 
 def test_pairset_json_sorted():
-    assert _join_pairs((2, 1, 0), "[", "]", ",") == ("", "[0,1],[0,2],[1,2]")
+    assert _join_pairs(OrderPattern((2, 1, 0)), "[", "]", ",") == ("", "[0,1],[0,2],[1,2]")
 
 
 # --- eo_leq / uniform / eo_equiv ----------------------------------------
