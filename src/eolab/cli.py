@@ -201,10 +201,10 @@ def _cmd_poset(args) -> tuple[int, str]:
 
     if args.chain:
         result = poset.max_chain(args.n)
-        stats = {"nodes": len(result), "coverEdges": len(result) - 1}
+        stats = {"nodes": len(result.patterns), "coverEdges": len(result.patterns) - 1}
     elif args.antichain is not None:
         result = poset.sample_antichain(args.n, args.antichain)
-        stats = {"nodes": len(result), "coverEdges": 0, **result.stats}
+        stats = {"nodes": len(result.patterns), "coverEdges": 0, **result.stats}
     else:
         result = poset.build_poset(args.n)
         stats = {"nodes": len(result.nodes), "coverEdges": len(result.hasse)}
@@ -240,15 +240,16 @@ def _cmd_run(args) -> tuple[int, str]:
     trace = vm.dovetail(prog, args.k, args.round_cap)
     if args.stats:
         sys.stderr.write(_dump_json(_run_stats(prog, trace)))
-    emitted = trace.emitted
+    emitted, prefix = trace.emitted, None
     if args.schedule is not None:
         choices = _parse_naturals(args.choices, "--choices") if args.choices else ()
         window = 1 if args.window is None else args.window
         sched = vm.Scheduler(args.schedule, window=window, choices=choices)
-        emitted = vm.schedule(trace, sched, args.k)
+        prefix = vm.schedule(trace.emitted, sched, args.k)  # pattern_of does not check it again
+        emitted = prefix.elements
     doc = {
         "emitted": list(emitted),
-        "pattern": patterns.pattern_of(emitted).to_json() if emitted else None,
+        "pattern": patterns.pattern_of(prefix or emitted).to_json() if emitted else None,
         "rounds": trace.rounds,
         "truncated": trace.truncated,
     }

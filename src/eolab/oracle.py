@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import patterns as fast
 from .errors import InputError, clip
@@ -36,15 +36,7 @@ from .expressions import (
 )
 from .poset import NoAntichainError, build_poset
 from .search import SearchBudget, WitnessReport, native_traces
-from .vm import (
-    ChoiceError,
-    DovetailTrace,
-    EnumeratorProgram,
-    InsufficientPrefixError,
-    NativeSource,
-    Scheduler,
-    _native_elements,
-)
+from .vm import ChoiceError, DovetailTrace, EnumeratorProgram, InsufficientPrefixError, Scheduler
 
 
 class OracleCapError(InputError):
@@ -210,13 +202,12 @@ def check_theorem3_finite(n: int, support: Iterable[int]) -> OracleReport:
 
     For each of the n! patterns, the arrangement of ``support`` built by
     apply_pattern must be positionwise order-isomorphic to the pattern
-    itself (checked by the direct biconditional loop).  A repeated support
-    value raises DuplicateElementError.  Cap n <= 6.
+    itself (checked by the direct biconditional loop).  The support is
+    checked as a ``ListingPrefix``, so a repeated or out-of-range value
+    raises at its position in the support.  Cap n <= 6.
     """
     _require(1 <= n <= 6, f"theorem3 suite caps at n=6, got {clip(n)}")
-    support_values = list(support)
-    fast._require_distinct(support_values)
-    support_values.sort()
+    support_values = sorted(fast.ListingPrefix(tuple(support)).elements)
     _require(
         len(support_values) == n,
         f"support must hold exactly {n} distinct naturals, got {clip(support_values)}",
@@ -347,9 +338,9 @@ def brute_force_dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> Dov
     O(round_cap**2) attempts; the reference for ``vm.dovetail``.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InputError(f"k must be >= 1, got {clip(k)}")
     if round_cap < 1:
-        raise ValueError(f"round_cap must be >= 1, got {round_cap}")
+        raise InputError(f"round_cap must be >= 1, got {clip(round_cap)}")
 
     guard_memo: dict[int, bool] = {}
     cost_memo: dict[int, int] = {}
@@ -407,18 +398,17 @@ def brute_force_dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> Dov
     return trace(round_cap)
 
 
-def brute_force_schedule(source: NativeSource, sched: Scheduler, k: int) -> fast.ListingPrefix:
-    """The window scheduler, literally: refill the buffer to the window in
-    arrival order, then pop the head, the first minimum, the first
-    maximum or the chosen slot.  O(k * w); the reference for
-    ``vm.schedule``.
+def brute_force_schedule(native: Sequence[int], sched: Scheduler, k: int) -> fast.ListingPrefix:
+    """The window scheduler on the native listing ``native``, literally:
+    refill the buffer to the window in arrival order, then pop the head,
+    the first minimum, the first maximum or the chosen slot.  O(k * w);
+    the reference for ``vm.schedule``.
     """
-    native = _native_elements(source)
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InputError(f"k must be >= 1, got {clip(k)}")
     if k > len(native):
         raise InsufficientPrefixError(
-            f"native prefix has {len(native)} elements, cannot supply {k} outputs"
+            f"native prefix has {len(native)} elements, cannot supply {clip(k)} outputs"
         )
     buffer: list[int] = []
     consumed = 0
@@ -484,8 +474,8 @@ def brute_force_witness(
 
     Caps k <= 6 and w <= 3 keep the joint space at or below 3**12.
     """
-    _require(1 <= k <= 6, f"brute force caps at k=6, got {k}")
-    _require(1 <= w <= 3, f"brute force caps at w=3, got {w}")
+    _require(1 <= k <= 6, f"brute force caps at k=6, got {clip(k)}")
+    _require(1 <= w <= 3, f"brute force caps at w=3, got {clip(w)}")
     if relation not in ("eo_leq", "uniform"):
         raise ValueError(f"unknown relation {relation!r}")
 

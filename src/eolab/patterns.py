@@ -25,7 +25,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, clip
 
 #: Elements are naturals that must fit in 64 unsigned bits.
 MAX_ELEMENT = 2**64 - 1
@@ -76,16 +76,7 @@ class OrderPattern:
         if n == 0:
             raise ValueError("empty pattern (length must be >= 1)")
         if sorted(ranks) != list(range(n)):
-            raise ValueError(f"ranks {ranks} are not a permutation of 0..{n - 1}")
-
-    def __len__(self) -> int:
-        return len(self.ranks)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.ranks)
-
-    def __getitem__(self, i: int) -> int:
-        return self.ranks[i]
+            raise ValueError(f"ranks {clip(ranks)} are not a permutation of 0..{n - 1}")
 
     def to_json(self) -> list[int]:
         """JSON form: an array of naturals, e.g. [1, 0, 2]."""
@@ -128,15 +119,6 @@ class ListingPrefix:
                 raise DuplicateElementError(value, seen[value], pos)
             seen[value] = pos
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __getitem__(self, i: int) -> int:
-        return self.elements[i]
-
     def to_json(self) -> list[int]:
         return list(self.elements)
 
@@ -158,7 +140,6 @@ def pattern_of(prefix: ListingPrefix | Sequence[int]) -> OrderPattern:
 
 
 def _check_lengths(p: OrderPattern, q: OrderPattern) -> None:
-    # Through ranks: OrderPattern.__len__ would add a Python frame per call.
     if len(p.ranks) != len(q.ranks):
         raise LengthMismatchError(len(p.ranks), len(q.ranks))
 
@@ -210,27 +191,19 @@ def eo_equiv(p: OrderPattern, q: OrderPattern) -> bool:
     return eo_leq(p, q) and eo_leq(q, p)
 
 
-def _require_distinct(values: Sequence[int]) -> None:
-    """Raise DuplicateElementError at the first value that repeats an earlier one."""
-    seen: dict[int, int] = {}
-    for pos, value in enumerate(values):
-        if value in seen:
-            raise DuplicateElementError(value, seen[value], pos)
-        seen[value] = pos
-
-
 def apply_pattern(p: OrderPattern, support: Iterable[int]) -> ListingPrefix:
     """The unique arrangement of ``support`` whose pattern is ``p``.
 
-    Position i carries the element of rank p[i] in sorted(support), so
-    ``pattern_of(apply_pattern(p, s)) == p``.
+    Position i carries the element of rank ``p.ranks[i]`` in
+    sorted(support), so ``pattern_of(apply_pattern(p, s)) == p``.  The
+    support is checked as a ``ListingPrefix`` first, so a bad value is
+    named at its position in the support, before any length mismatch.
 
     >>> apply_pattern(OrderPattern((1, 0, 2)), {4, 8, 15}).elements
     (8, 4, 15)
     """
-    values = list(support)
-    _require_distinct(values)
-    if len(values) != len(p):
-        raise LengthMismatchError(len(p), len(values))
+    values = ListingPrefix(tuple(support)).elements
+    if len(values) != len(p.ranks):
+        raise LengthMismatchError(len(p.ranks), len(values))
     ordered = sorted(values)
     return ListingPrefix(tuple(ordered[r] for r in p.ranks))

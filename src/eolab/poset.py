@@ -94,9 +94,6 @@ class Chain:
             if a == b or not eo_leq(a, b):
                 raise ValueError(f"consecutive patterns {a.ranks} and {b.ranks} not strictly related")
 
-    def __len__(self) -> int:
-        return len(self.patterns)
-
 
 @dataclass(frozen=True)
 class Antichain:
@@ -115,9 +112,6 @@ class Antichain:
             for b in items[a_i + 1 :]:
                 if eo_leq(a, b) or eo_leq(b, a):
                     raise ValueError(f"patterns {a.ranks} and {b.ranks} are comparable")
-
-    def __len__(self) -> int:
-        return len(self.patterns)
 
     def sorted_patterns(self) -> tuple[OrderPattern, ...]:
         return tuple(sorted(self.patterns, key=lambda p: p.ranks))
@@ -260,7 +254,7 @@ def export(result: PatternPoset | Chain | Antichain, format: str) -> str:
         if graph == "poset":
             doc = {"n": result.n, "nodes": nodes, "hasse": [[a, b] for a, b in edges]}
         else:
-            doc = {"n": len(patterns[0]), graph: nodes}
+            doc = {"n": len(patterns[0].ranks), graph: nodes}
         doc["scope"] = POSET_SCOPE_NOTE
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     raise ValueError(f"unknown export format {format!r} (expected 'text', 'dot' or 'json')")

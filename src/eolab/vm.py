@@ -20,7 +20,7 @@ import heapq
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import EvaluationError, InputError, InsufficientPrefixError, clip
 from .expressions import ArithExpr, GuardExpr, parse_arith, parse_guard
@@ -115,13 +115,6 @@ class DovetailTrace:
     truncated: bool
     inputs_tried: int
     pending: int
-
-    def to_json(self) -> dict:
-        return {
-            "emitted": list(self.emitted),
-            "rounds": self.rounds,
-            "truncated": self.truncated,
-        }
 
 
 def _span(a: int, b: int) -> int:
@@ -223,26 +216,15 @@ class Scheduler:
             raise InputError("choices must be naturals")
 
 
-NativeSource = Union[DovetailTrace, ListingPrefix, Sequence[int]]
-
-
-def _native_elements(source: NativeSource) -> tuple[int, ...]:
-    if isinstance(source, DovetailTrace):
-        return source.emitted
-    if isinstance(source, ListingPrefix):
-        return source.elements
-    return tuple(source)
-
-
-def schedule(source: NativeSource, sched: Scheduler, k: int) -> ListingPrefix:
-    """Emit the first k elements of the rescheduled enumeration.
+def schedule(native: Sequence[int], sched: Scheduler, k: int) -> ListingPrefix:
+    """The first k elements of the native listing ``native`` (a trace's
+    ``emitted``, say) as rescheduled by ``sched``.
 
     min_first and max_first keep the buffer as a heap of the values,
     resp. of their negations, and run in O(k log w).  Tied values are
     equal, so which of them goes first does not change the output.  The
     literal buffer loop is ``oracle.brute_force_schedule``.
     """
-    native = _native_elements(source)
     if k < 1:
         raise InputError(f"k must be >= 1, got {clip(k)}")
     if k > len(native):

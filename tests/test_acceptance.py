@@ -327,8 +327,8 @@ def test_criterion_11_search_agreement_with_oracle():
                 assert pruned.choices_b == brute.choices_b
                 sched_a = Scheduler("explicit", window=w, choices=pruned.choices_a)
                 sched_b = Scheduler("explicit", window=w, choices=pruned.choices_b)
-                prefix_a = schedule(dovetail(prog_a, k, 1_000), sched_a, k)
-                prefix_b = schedule(dovetail(prog_b, k, 1_000), sched_b, k)
+                prefix_a = schedule(dovetail(prog_a, k, 1_000).emitted, sched_a, k)
+                prefix_b = schedule(dovetail(prog_b, k, 1_000).emitted, sched_b, k)
                 assert prefix_a == pruned.prefix_a and prefix_b == pruned.prefix_b
                 assert relate(pattern_of(prefix_a), pattern_of(prefix_b))
         elapsed = time.monotonic() - start

@@ -820,6 +820,14 @@ def test_check_theorem3_duplicate_support_exit_2(capsys, support, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_check_theorem3_out_of_range_support_names_its_position(capsys):
+    code, out, err = invoke(capsys, "check", "--suite", "theorem3", "--n", "2",
+                            "--support", "18446744073709551616,0")
+    assert (code, out) == (2, "")
+    assert err == (f"error: element 18446744073709551616 at position 0 outside "
+                   f"0..{MAX_ELEMENT}\n")
+
+
 def test_check_theorem3_requires_support(capsys):
     code, _, err = invoke(capsys, "check", "--suite", "theorem3", "--n", "3")
     assert code == 2

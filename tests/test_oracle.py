@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eolab import oracle, patterns as fast
+from eolab.errors import InputError
 from eolab.expressions import EvaluationError
 from eolab.oracle import (
     OracleCapError,
     brute_force_dovetail,
+    brute_force_schedule,
     brute_force_witness,
     check_hasse,
     check_inversion_equiv,
@@ -24,7 +26,7 @@ from eolab.oracle import (
     check_theorem10,
 )
 from eolab.search import InsufficientEnumerationError
-from eolab.vm import dovetail, parse_program
+from eolab.vm import Scheduler, dovetail, parse_program
 
 from conftest import PROGRAMS, load_program
 
@@ -82,6 +84,11 @@ def test_theorem3_support_repeat_rejected():
     assert (exc.value.value, exc.value.first_index, exc.value.second_index) == (4, 0, 2)
 
 
+def test_theorem3_names_bad_value_at_its_support_position():
+    with pytest.raises(InputError, match=f"element {2**64} at position 0 outside"):
+        check_theorem3_finite(2, [2**64, 0])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hasse_pass(n):
     report = check_hasse(n)
@@ -124,6 +131,20 @@ def test_brute_force_caps():
         brute_force_witness(evens, evens, k=7, w=2, relation="eo_leq")
     with pytest.raises(OracleCapError):
         brute_force_witness(evens, evens, k=2, w=4, relation="eo_leq")
+
+
+def test_brute_force_range_checks_raise_input_error():
+    evens = load_program("evens")
+    for call in (
+        lambda: brute_force_dovetail(evens, 0, 10),
+        lambda: brute_force_dovetail(evens, 3, 0),
+        lambda: brute_force_schedule((1, 2, 3), Scheduler("native"), 0),
+    ):
+        with pytest.raises(InputError):
+            call()
+    with pytest.raises(InputError) as exc:
+        brute_force_dovetail(evens, -(10**200), 10)
+    assert len(str(exc.value)) < 200
 
 
 def test_brute_force_truncation():

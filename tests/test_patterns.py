@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from eolab.cli import _join_pairs
 from eolab.oracle import _direct_leq, brute_force_pair_sets
+from eolab.errors import InputError
 from eolab.patterns import (
     MAX_ELEMENT,
     DuplicateElementError,
@@ -136,6 +137,15 @@ def test_element_range_checked():
         ListingPrefix((-1,))
 
 
+def test_non_permutation_message_is_clipped():
+    # A certificate fault, not an input error; its message stays short however long the ranks.
+    with pytest.raises(ValueError) as exc:
+        OrderPattern(tuple(range(1, 5001)))
+    assert not isinstance(exc.value, InputError)
+    assert "not a permutation of 0..4999" in str(exc.value)
+    assert len(str(exc.value)) < 1024
+
+
 # --- ascents / inversions, as `pattern` renders them --------------------
 
 
@@ -163,13 +173,13 @@ def test_ascents_inversions_partition_all_pairs(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pair_sets_agree_with_literal_reference(n):
     for p in all_patterns(n):
-        assert pair_sets(p) == brute_force_pair_sets(p)
+        assert pair_sets(p) == brute_force_pair_sets(p.ranks)
 
 
 @given(st.integers(1, 60).flatmap(lambda n: st.permutations(range(n))))
 def test_pair_sets_agree_with_literal_reference_long(ranks):
     p = OrderPattern(tuple(ranks))
-    assert pair_sets(p) == brute_force_pair_sets(p)
+    assert pair_sets(p) == brute_force_pair_sets(p.ranks)
 
 
 def test_pairset_json_sorted():
@@ -309,6 +319,14 @@ def test_apply_pattern_size_mismatch():
 def test_apply_pattern_duplicate_support():
     with pytest.raises(DuplicateElementError):
         apply_pattern(OrderPattern((0, 1)), [5, 5])
+
+
+def test_apply_pattern_names_bad_value_at_its_support_position():
+    with pytest.raises(InputError, match=f"element {2**64} at position 0 outside"):
+        apply_pattern(OrderPattern((0, 1)), [2**64, 0])
+    # A bad value is reported before a length mismatch.
+    with pytest.raises(InputError, match=f"element {2**64} at position 2 outside"):
+        apply_pattern(OrderPattern((0, 1)), [1, 2, 2**64])
 
 
 @pytest.mark.parametrize("n", range(1, 6))

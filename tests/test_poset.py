@@ -236,7 +236,7 @@ def test_largest_inversion_level_is_an_antichain(n):
     for p in all_patterns(n):
         level.setdefault(inversion_count(p), []).append(p)
     largest = max(level.values(), key=len)
-    assert len(Antichain(frozenset(largest))) == _width(n)
+    assert len(Antichain(frozenset(largest)).patterns) == _width(n)
 
 
 @pytest.mark.parametrize(

@@ -402,7 +402,7 @@ def test_dovetail_determinism():
     a = dovetail(parse_program(STAGGERED), k=8, round_cap=100)
     b = dovetail(parse_program(STAGGERED), k=8, round_cap=100)
     assert a == b
-    assert a.to_json() == b.to_json()
+    assert (a.emitted, a.rounds, a.truncated) == (b.emitted, b.rounds, b.truncated)
 
 
 @pytest.mark.parametrize("k_small,k_big", [(1, 4), (3, 8), (5, 10)])
