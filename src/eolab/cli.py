@@ -173,8 +173,8 @@ def _cmd_cmp(args) -> tuple[int, str]:
     lr, rl = vio_lr is None, vio_rl is None
     if args.format == "json":
         doc = {
-            "patternLeft": left.to_json(),
-            "patternRight": right.to_json(),
+            "patternLeft": list(left.ranks),
+            "patternRight": list(right.ranks),
             "leftLeqRight": lr,
             "rightLeqLeft": rl,
             "violationLeftRight": list(vio_lr) if vio_lr else None,
@@ -249,7 +249,7 @@ def _cmd_run(args) -> tuple[int, str]:
         emitted = prefix.elements
     doc = {
         "emitted": list(emitted),
-        "pattern": patterns.pattern_of(prefix or emitted).to_json() if emitted else None,
+        "pattern": list(patterns.pattern_of(prefix or emitted).ranks) if emitted else None,
         "rounds": trace.rounds,
         "truncated": trace.truncated,
     }

@@ -7,6 +7,11 @@ loading a layer; each layer re-exports the exceptions it raises.
 def clip(value: object) -> str:
     """``str(value)`` as an error message may echo it: whole up to 80
     characters, else its first 80 and its length, however long the input."""
+    if isinstance(value, int) and value.bit_length() > 2000:
+        # str() of an int this long is slow or refused; divide down to 80-81 digits.
+        shift = int(value.bit_length() * 0.30103) - 80  # 0.30103: log10(2)
+        text = "-" * (value < 0) + str(abs(value) // 10**shift)
+        return f"{text[:80]}... ({shift + len(text)} characters)"
     text = str(value)
     return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 

@@ -207,16 +207,17 @@ def check_theorem3_finite(n: int, support: Iterable[int]) -> OracleReport:
     raises at its position in the support.  Cap n <= 6.
     """
     _require(1 <= n <= 6, f"theorem3 suite caps at n=6, got {clip(n)}")
-    support_values = sorted(fast.ListingPrefix(tuple(support)).elements)
+    prefix = fast.ListingPrefix(tuple(support))
+    support_values = sorted(prefix.elements)
     _require(
         len(support_values) == n,
         f"support must hold exactly {n} distinct naturals, got {clip(support_values)}",
     )
     failures = []
     for p in itertools.permutations(range(n)):
-        realized = fast.apply_pattern(fast.OrderPattern(p), support_values)
+        realized = fast.apply_pattern(fast.OrderPattern(p), prefix)
         if not _direct_uniform(p, realized.elements):
-            failures.append({"pattern": list(p), "realized": realized.to_json()})
+            failures.append({"pattern": list(p), "realized": list(realized.elements)})
     m = math.factorial(n)
     params = {"n": n, "support": support_values}
     return OracleReport("theorem3", params, m, tuple(failures), relation_tests=m)
@@ -477,7 +478,7 @@ def brute_force_witness(
     _require(1 <= k <= 6, f"brute force caps at k=6, got {clip(k)}")
     _require(1 <= w <= 3, f"brute force caps at w=3, got {clip(w)}")
     if relation not in ("eo_leq", "uniform"):
-        raise ValueError(f"unknown relation {relation!r}")
+        raise InputError(f"unknown relation {clip(repr(relation))}")
 
     trace_a, trace_b = native_traces(prog_a, prog_b, k, round_cap)
     step_ranges = [range(min(w, k - t)) for t in range(k)]

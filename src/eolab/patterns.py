@@ -78,10 +78,6 @@ class OrderPattern:
         if sorted(ranks) != list(range(n)):
             raise ValueError(f"ranks {clip(ranks)} are not a permutation of 0..{n - 1}")
 
-    def to_json(self) -> list[int]:
-        """JSON form: an array of naturals, e.g. [1, 0, 2]."""
-        return list(self.ranks)
-
     @functools.cached_property
     def ascent_mask(self) -> int:
         """The ascent set as an int, built in O(n) int operations on first use.
@@ -112,15 +108,12 @@ class ListingPrefix:
         seen: dict[int, int] = {}
         for pos, value in enumerate(elements):
             if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(f"element at position {pos} is not a natural: {value!r}")
+                raise InputError(f"element at position {pos} is not a natural: {clip(repr(value))}")
             if value < 0 or value > MAX_ELEMENT:
-                raise InputError(f"element {value} at position {pos} outside 0..{MAX_ELEMENT}")
+                raise InputError(f"element {clip(value)} at position {pos} outside 0..{MAX_ELEMENT}")
             if value in seen:
                 raise DuplicateElementError(value, seen[value], pos)
             seen[value] = pos
-
-    def to_json(self) -> list[int]:
-        return list(self.elements)
 
 
 def pattern_of(prefix: ListingPrefix | Sequence[int]) -> OrderPattern:
@@ -191,18 +184,20 @@ def eo_equiv(p: OrderPattern, q: OrderPattern) -> bool:
     return eo_leq(p, q) and eo_leq(q, p)
 
 
-def apply_pattern(p: OrderPattern, support: Iterable[int]) -> ListingPrefix:
+def apply_pattern(p: OrderPattern, support: ListingPrefix | Iterable[int]) -> ListingPrefix:
     """The unique arrangement of ``support`` whose pattern is ``p``.
 
     Position i carries the element of rank ``p.ranks[i]`` in
-    sorted(support), so ``pattern_of(apply_pattern(p, s)) == p``.  The
-    support is checked as a ``ListingPrefix`` first, so a bad value is
-    named at its position in the support, before any length mismatch.
+    sorted(support), so ``pattern_of(apply_pattern(p, s)) == p``.  Any other
+    support is checked as a ``ListingPrefix`` first, so a bad value is named
+    at its position in the support, before any length mismatch.
 
     >>> apply_pattern(OrderPattern((1, 0, 2)), {4, 8, 15}).elements
     (8, 4, 15)
     """
-    values = ListingPrefix(tuple(support)).elements
+    if not isinstance(support, ListingPrefix):
+        support = ListingPrefix(tuple(support))
+    values = support.elements
     if len(values) != len(p.ranks):
         raise LengthMismatchError(len(p.ranks), len(values))
     ordered = sorted(values)

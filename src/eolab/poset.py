@@ -97,24 +97,21 @@ class Chain:
 
 @dataclass(frozen=True)
 class Antichain:
-    """A set of pairwise eo-incomparable patterns; ``stats`` counts the search
-    that found it, if any."""
+    """Pairwise eo-incomparable patterns, each held once and sorted by ranks;
+    ``stats`` counts the search that found it, if any."""
 
-    patterns: frozenset[OrderPattern]
+    patterns: tuple[OrderPattern, ...]
     stats: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "patterns", frozenset(self.patterns))
-        if not self.patterns:
+        patterns = tuple(sorted(set(self.patterns), key=lambda p: p.ranks))
+        object.__setattr__(self, "patterns", patterns)
+        if not patterns:
             raise ValueError("empty antichain")
-        items = sorted(self.patterns, key=lambda p: p.ranks)
-        for a_i, a in enumerate(items):
-            for b in items[a_i + 1 :]:
+        for a_i, a in enumerate(patterns):
+            for b in patterns[a_i + 1 :]:
                 if eo_leq(a, b) or eo_leq(b, a):
                     raise ValueError(f"patterns {a.ranks} and {b.ranks} are comparable")
-
-    def sorted_patterns(self) -> tuple[OrderPattern, ...]:
-        return tuple(sorted(self.patterns, key=lambda p: p.ranks))
 
 
 def max_chain(n: int) -> Chain:
@@ -215,20 +212,20 @@ def sample_antichain(n: int, size: int) -> Antichain:
     if found is None:
         raise NoAntichainError(f"no antichain of size {clip(size)} among length-{n} patterns")
     stats = {"comparabilityMasks": comparable.cache_info().currsize, "branches": branches}
-    return Antichain(frozenset(OrderPattern(perms[i]) for i in found), stats=stats)
+    return Antichain(tuple(OrderPattern(perms[i]) for i in found), stats=stats)
 
 
 def export(result: PatternPoset | Chain | Antichain, format: str) -> str:
     """Render a poset, a chain or an antichain as text, DOT or JSON;
     byte-stable for a fixed input.  A chain's DOT edges join each pattern
-    to the next; an antichain has none, and lists its patterns sorted."""
+    to the next; an antichain has none."""
     if isinstance(result, PatternPoset):
         graph, patterns, edges = "poset", result.nodes, result.hasse
     elif isinstance(result, Chain):
         graph, patterns = "chain", result.patterns
         edges = [(i, i + 1) for i in range(len(patterns) - 1)]
     else:
-        graph, patterns, edges = "antichain", result.sorted_patterns(), ()
+        graph, patterns, edges = "antichain", result.patterns, ()
     if format == "text" and graph != "poset":
         return "".join(",".join(map(str, p.ranks)) + "\n" for p in patterns)
     if format in ("text", "dot"):
@@ -250,11 +247,11 @@ def export(result: PatternPoset | Chain | Antichain, format: str) -> str:
     if format == "json":
         import json
 
-        nodes = [p.to_json() for p in patterns]
+        nodes = [list(p.ranks) for p in patterns]
         if graph == "poset":
             doc = {"n": result.n, "nodes": nodes, "hasse": [[a, b] for a, b in edges]}
         else:
             doc = {"n": len(patterns[0].ranks), graph: nodes}
         doc["scope"] = POSET_SCOPE_NOTE
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    raise ValueError(f"unknown export format {format!r} (expected 'text', 'dot' or 'json')")
+    raise InputError(f"unknown export format {clip(repr(format))} (expected 'text', 'dot' or 'json')")

@@ -62,8 +62,6 @@ from .errors import InputError, InsufficientEnumerationError, clip
 from .patterns import ListingPrefix, OrderPattern, eo_leq, pattern_of, uniform
 from .vm import DovetailTrace, EnumeratorProgram, Scheduler, dovetail, schedule
 
-RELATIONS = ("eo_leq", "uniform")
-
 #: Most nodes a search may explore.  B's frontiers keep at most one
 #: prefix per node, so this bounds their memory too (see the README).
 MAX_NODES = 10**7
@@ -123,10 +121,10 @@ class WitnessReport:
             "w": self.window,
             "choicesA": list(self.choices_a) if self.choices_a is not None else None,
             "choicesB": list(self.choices_b) if self.choices_b is not None else None,
-            "prefixA": self.prefix_a.to_json() if self.prefix_a else None,
-            "prefixB": self.prefix_b.to_json() if self.prefix_b else None,
-            "patternA": self.pattern_a.to_json() if self.pattern_a else None,
-            "patternB": self.pattern_b.to_json() if self.pattern_b else None,
+            "prefixA": list(self.prefix_a.elements) if self.prefix_a else None,
+            "prefixB": list(self.prefix_b.elements) if self.prefix_b else None,
+            "patternA": list(self.pattern_a.ranks) if self.pattern_a else None,
+            "patternB": list(self.pattern_b.ranks) if self.pattern_b else None,
             "nodesExplored": self.nodes_explored,
             "restriction": RESTRICTION_NOTE,
         }

@@ -1,4 +1,5 @@
-"""What each entry point imports, and the package's lazily resolved names.
+"""What each entry point imports: the package binds only ``__version__``, and each
+subcommand loads only its layers.
 
 The import graph is read in a fresh interpreter per case: in this process
 every layer is loaded already.
@@ -21,7 +22,6 @@ from conftest import PROGRAMS
 
 SRC = str(Path(eolab.__file__).resolve().parents[1])
 BASE = {"eolab", "eolab.cli", "eolab.errors"}
-LAYERS = {"eolab.expressions", "eolab.vm", "eolab.patterns", "eolab.poset", "eolab.search"}
 
 
 def _loaded_after(code: str) -> set[str]:
@@ -71,33 +71,9 @@ def test_version_loads_no_layer():
     assert _loaded_after("import eolab\nassert eolab.__version__") == {"eolab"}
 
 
-def test_public_name_loads_only_its_layer():
-    # eolab.errors is no layer: it imports nothing, and every layer's input errors derive from it.
-    assert _loaded_after("from eolab import pattern_of") == {"eolab", "eolab.errors", "eolab.patterns"}
-
-
-def test_public_names_resolve_to_their_modules_objects():
-    star: dict = {}
-    exec("from eolab import *", star)
-    star.pop("__builtins__")
-    assert set(star) == set(eolab.__all__)
-    for name in eolab.__all__:
-        obj = getattr(eolab, name)
-        assert obj is star[name]
-        assert getattr(sys.modules[obj.__module__], name) is obj
-        assert obj.__module__ in LAYERS
-
-
-def test_dir_lists_public_names():
-    assert set(eolab.__all__) <= set(dir(eolab))
-    assert "__version__" in dir(eolab)
-
-
-def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        eolab.no_such_name  # noqa: B018
-    with pytest.raises(ImportError):
-        from eolab import no_such_name  # noqa: F401
+def test_package_binds_no_public_name_but_version():
+    code = "import eolab\nassert [n for n in vars(eolab) if not n.startswith('_')] == []"
+    assert _loaded_after(code) == {"eolab"}
 
 
 def test_layers_reexport_the_errors_cli_maps():

@@ -84,6 +84,14 @@ def test_theorem3_support_repeat_rejected():
     assert (exc.value.value, exc.value.first_index, exc.value.second_index) == (4, 0, 2)
 
 
+def test_theorem3_checks_its_support_once(monkeypatch):
+    built = []
+    check = fast.ListingPrefix.__post_init__
+    monkeypatch.setattr(fast.ListingPrefix, "__post_init__", lambda self: built.append(check(self)))
+    assert check_theorem3_finite(4, (2, 3, 5, 7)).passed
+    assert len(built) == 1 + math.factorial(4)  # the support, then each arrangement
+
+
 def test_theorem3_names_bad_value_at_its_support_position():
     with pytest.raises(InputError, match=f"element {2**64} at position 0 outside"):
         check_theorem3_finite(2, [2**64, 0])
@@ -123,6 +131,13 @@ def test_brute_force_window_one_refutation():
     )
     assert report.status == "space_exhausted"
     assert report.nodes_explored == 1
+
+
+def test_brute_force_unknown_relation_is_a_clipped_input_error():
+    evens = load_program("evens")
+    with pytest.raises(InputError, match="unknown relation") as exc:
+        brute_force_witness(evens, evens, k=2, w=1, relation="r" * 250)
+    assert len(str(exc.value)) < 150
 
 
 def test_brute_force_caps():

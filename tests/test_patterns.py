@@ -137,6 +137,16 @@ def test_element_range_checked():
         ListingPrefix((-1,))
 
 
+def test_prefix_messages_are_clipped():
+    with pytest.raises(InputError, match="position 0 is not a natural") as exc:
+        ListingPrefix(("x" * 10000,))
+    assert len(str(exc.value)) < 1024
+    # str() refuses an int past 4,300 digits; the message must still be an InputError.
+    with pytest.raises(InputError, match=r"\(5001 characters\) at position 0 outside") as exc:
+        ListingPrefix((10**5000,))
+    assert len(str(exc.value)) < 1024
+
+
 def test_non_permutation_message_is_clipped():
     # A certificate fault, not an input error; its message stays short however long the ranks.
     with pytest.raises(ValueError) as exc:

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from eolab.errors import InputError
 from eolab.oracle import _leq_rows, brute_force_antichain
 from eolab.patterns import OrderPattern, eo_leq
 from eolab.poset import (
@@ -176,12 +177,12 @@ def test_chain_validation():
 
 
 def test_antichain_n3_size2():
-    got = sample_antichain(3, 2).sorted_patterns()
+    got = sample_antichain(3, 2).patterns
     assert [p.ranks for p in got] == [(0, 2, 1), (1, 0, 2)]
 
 
 def test_antichain_n4_size3():
-    got = sample_antichain(4, 3).sorted_patterns()
+    got = sample_antichain(4, 3).patterns
     assert len(got) == 3
     for a, b in itertools.combinations(got, 2):
         assert not eo_leq(a, b) and not eo_leq(b, a)
@@ -205,7 +206,7 @@ def test_antichain_matches_backtracking_oracle(n):
             with pytest.raises(NoAntichainError):
                 sample_antichain(n, size)
             continue
-        assert tuple(p.ranks for p in sample_antichain(n, size).sorted_patterns()) == want
+        assert tuple(p.ranks for p in sample_antichain(n, size).patterns) == want
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -254,7 +255,7 @@ def test_antichain_n6_pinned(size, ranks, stats):
     # Recorded from the scan on OrderPattern ascent masks that the column
     # masks replaced; the brute-force oracle takes about 20 s at size 12.
     got = sample_antichain(6, size)
-    assert ["".join(map(str, p.ranks)) for p in got.sorted_patterns()] == ranks
+    assert ["".join(map(str, p.ranks)) for p in got.patterns] == ranks
     assert got.stats == stats
 
 
@@ -311,3 +312,9 @@ def test_export_chain_and_antichain():
 def test_export_unknown_format():
     with pytest.raises(ValueError):
         export(build_poset(2), "yaml")
+
+
+def test_export_unknown_format_is_a_clipped_input_error():
+    with pytest.raises(InputError, match="unknown export format") as exc:
+        export(build_poset(2), "f" * 500)
+    assert len(str(exc.value)) < 200
