@@ -8,7 +8,7 @@ path is what the acceptance tests certify.  The pattern-pair suites
 evaluate the relation once per ordered pair with the direct loop, keep
 the verdicts as bit rows (row p holds bit q iff p <= q), and read the
 laws off the rows; a report's ``checked`` counts cases decided, not loop
-iterations.
+iterations.  The literal loops walk one index-pair table per length.
 
 Suites are exhaustive, so each has a hard size cap stated in its
 precondition and enforced with an error; silent truncation would make a
@@ -17,6 +17,7 @@ passing report meaningless.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,31 +68,33 @@ class OracleReport:
         }
 
 
+@functools.cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    # Every index pair i < j of a length-n sequence, in lexicographic order.
+    return tuple(itertools.combinations(range(n), 2))
+
+
 def _direct_leq(p, q) -> bool:
     # The relation, literally: every ascending index pair of p must
     # ascend in q.
-    n = len(p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if p[i] < p[j] and not (q[i] < q[j]):
-                return False
+    for i, j in _pairs(len(p)):
+        if p[i] < p[j] and not (q[i] < q[j]):
+            return False
     return True
 
 
 def _direct_uniform(p, q) -> bool:
     # Positionwise biconditional, literally.
-    n = len(p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (p[i] < p[j]) != (q[i] < q[j]):
-                return False
+    for i, j in _pairs(len(p)):
+        if (p[i] < p[j]) != (q[i] < q[j]):
+            return False
     return True
 
 
 def brute_force_pair_sets(p) -> tuple[frozenset, frozenset]:
     """Ascents and inversions of p, literally: the ascending index pairs
     among all of them, and the inversions as their complement."""
-    pairs = frozenset(itertools.combinations(range(len(p)), 2))
+    pairs = frozenset(_pairs(len(p)))
     up = frozenset((i, j) for i, j in pairs if p[i] < p[j])
     return up, pairs - up
 

@@ -173,6 +173,68 @@ def test_determinism():
     assert check_hasse(3) == check_hasse(3)
 
 
+# --- the direct loops over the cached pair table ----------------------------------
+# The loops as nested ranges, the reference for the walk over ``_pairs``.
+
+
+def _nested_leq(p, q):
+    n = len(p)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if p[i] < p[j] and not (q[i] < q[j]):
+                return False
+    return True
+
+
+def _nested_uniform(p, q):
+    n = len(p)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (p[i] < p[j]) != (q[i] < q[j]):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_pair_table_lists_index_pairs_in_order(n):
+    assert oracle._pairs(n) == tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_direct_loops_match_nested_ranges_on_permutations(n):
+    perms = list(itertools.permutations(range(n)))
+    for p, q in itertools.product(perms, repeat=2):
+        assert oracle._direct_leq(p, q) == _nested_leq(p, q)
+        assert oracle._direct_uniform(p, q) == _nested_uniform(p, q)
+
+
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(0, 4), min_size=n, max_size=n)] * 2)))
+def test_direct_loops_match_nested_ranges_with_ties(pq):
+    p, q = pq
+    assert oracle._direct_leq(p, q) == _nested_leq(p, q)
+    assert oracle._direct_uniform(p, q) == _nested_uniform(p, q)
+
+
+@pytest.mark.parametrize("suite", ["preorder", "inversion", "theorem10", "theorem3", "hasse"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_suites_make_one_direct_evaluation_per_counted_test(monkeypatch, suite, n):
+    calls = []
+    for name in ("_direct_leq", "_direct_uniform"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda p, q, real=real: calls.append(1) or real(p, q))
+    run = {
+        "preorder": check_preorder_laws,
+        "inversion": check_inversion_equiv,
+        "theorem10": check_theorem10,
+        "theorem3": lambda n: check_theorem3_finite(n, (2, 3, 5, 7)[:n]),
+        "hasse": check_hasse,
+    }[suite]
+    report = run(n)
+    assert report.passed
+    assert len(calls) == report.relation_tests
+
+
 # --- fault injection --------------------------------------------------------------
 # The suites as literal loops, the reference for the bit rows: every
 # ordered triple for transitivity, a scan over all patterns for each strict
