@@ -3,7 +3,8 @@
 Exit codes: 0 success or witness found, 1 oracle suite failure, 2 input
 error, 3 space exhausted / antichain unavailable, 4 enumeration
 insufficient or arithmetic overflow, 5 node budget exceeded, 6 internal
-error (a bug, failed re-checks included).  Output goes to stdout,
+error (a bug, failed re-checks included), 7 stdout closed before the
+output was written (a pipe whose reader quit).  Output goes to stdout,
 diagnostics to stderr; identical invocations produce byte-identical output.
 
 ``main`` may be called any number of times in one process.  The argument
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections.abc import Sequence
 from itertools import compress
@@ -36,6 +38,7 @@ EXIT_UNAVAILABLE = 3
 EXIT_ENUMERATION = 4
 EXIT_BUDGET = 5
 EXIT_INTERNAL = 6
+EXIT_CLOSED_STDOUT = 7
 
 _SEARCH_EXITS = {
     "witness_found": EXIT_OK,
@@ -403,9 +406,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         message = f"internal error: {type(exc).__name__}: {exc}" if code == EXIT_INTERNAL else exc
         print(f"error: {message}", file=sys.stderr)
         return code
-    sys.stdout.write(output)
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone, so there is no one to tell
+        return EXIT_CLOSED_STDOUT
     return code
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    if code == EXIT_CLOSED_STDOUT:  # leave the interpreter's last flush nothing to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)

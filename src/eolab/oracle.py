@@ -68,7 +68,7 @@ class OracleReport:
         }
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     # Every index pair i < j of a length-n sequence, in lexicographic order.
     return tuple(itertools.combinations(range(n), 2))
@@ -94,7 +94,7 @@ def _direct_uniform(p, q) -> bool:
 def brute_force_pair_sets(p) -> tuple[frozenset, frozenset]:
     """Ascents and inversions of p, literally: the ascending index pairs
     among all of them, and the inversions as their complement."""
-    pairs = frozenset(_pairs(len(p)))
+    pairs = frozenset(itertools.combinations(range(len(p)), 2))
     up = frozenset((i, j) for i, j in pairs if p[i] < p[j])
     return up, pairs - up
 

@@ -75,7 +75,7 @@ class OrderPattern:
         n = len(ranks)
         if n == 0:
             raise ValueError("empty pattern (length must be >= 1)")
-        if sorted(ranks) != list(range(n)):
+        if set(ranks) != set(range(n)):  # n ranks that cover 0..n-1, so none repeats
             raise ValueError(f"ranks {clip(ranks)} are not a permutation of 0..{n - 1}")
 
     @functools.cached_property

@@ -177,8 +177,9 @@ def _walk(
     # the literal walk's B tests at shallower depths before it reaches the
     # element).  Slot k stays empty: no B prefix is kept past the last output.
     frontiers = [[(tuple(native_b[: limits[0]]), None, None, 0)]] + [[] for _ in range(k)]
-    # Complete frontiers by the bounds chain that selects them:
-    # (id of F_u, *bounds(u)) -> (id of F_{u+1}, F_{u+1}); F_0 has id 0.
+    # Complete frontiers by the bounds chain that selects them, keyed flat
+    # by bounds(u)'s high and lows: (id of F_u, high, *lows) -> (id of
+    # F_{u+1}, F_{u+1}); F_0 has id 0.
     interned: dict = {}
     ids = [0] * (k + 1)  # ids of the frontiers along A's current path
     partial = [0] * (k + 1)  # B nodes each leaf below a depth spends above it
@@ -187,6 +188,7 @@ def _walk(
     # -1 and top, so a missing bound is one more index.
     bvalue = [0] * k + [-1, top]
     lo_at, hi_at = [0] * k, [0] * k  # B's bounds at each depth of the fill's path
+    at, nxt = [0] * k, [0] * k  # the fill's cursors, one per depth (see fill)
     tally = dict(aNodes=0, bTests=0, frontierHits=0, closedFormSubtrees=0)
 
     def bounds(u: int) -> tuple[tuple[int, ...], int, int]:
@@ -213,17 +215,26 @@ def _walk(
                 hi, succ = value[s], s
         return (pred,), succ, min(pred, succ)
 
+    def reach(u: int) -> tuple[tuple[int, ...], int, int]:
+        # Place A's first choice at depth u, the lowest unused index, once
+        # a fill gets there; then bound B's output u.
+        j = used.find(0, 0, limits[u])
+        pick[u], used[j], value[u] = j, 1, native_a[j]
+        return bounds(u)
+
     def fill(d: int, room: int) -> int | tuple:
         # Refill frontiers d+1.. along A's first choices below depth d:
         # first those interned for this bounds chain, then depth-first,
         # testing B's candidates in the order the literal walk of that
         # leaf tests them; it may test ``room`` B nodes within max_nodes.
         # Returns the shallowest depth whose frontier is empty or, when
-        # that leaf decides the search, the walk's result.
+        # that leaf decides the search, the walk's result.  A's picks are
+        # placed down to the deepest depth the fill reaches, no further.
         marks = [None] * k
+        marks[d] = bounds(d)
         while True:
-            marks[d] = bounds(d)
-            hit = interned.get((ids[d], *marks[d]))
+            lows, high, _ = marks[d]
+            hit = interned.get((ids[d], high, *lows))
             if hit is None:
                 break
             tally["frontierHits"] += 1
@@ -232,56 +243,59 @@ def _walk(
             d += 1
             if not frontiers[d]:
                 return d
+            marks[d] = reach(d)
         for u in range(d + 1, k):
             frontiers[u] = []
-        # The stack holds (B prefix, its depth, its next candidate, its
-        # index in its frontier).  base is the shallower tests of the
-        # current depth-d prefix, so the literal walk is at node
-        # max_nodes - room + base + spent.
-        stack, spent, result = [(e, d, 0, n) for n, e in enumerate(frontiers[d])][::-1], 0, None
-        while stack:
-            e, u, i, n = stack.pop()
-            buf = e[0]
-            if i == 0:  # first visit: bound B's output u
-                if u > d:
-                    bvalue[u - 1] = e[1]
-                else:  # B's values above depth d come from e's parents, on demand
-                    node, s, base = e, d - 1, e[3]
-                if marks[u] is None:
-                    marks[u] = bounds(u)
-                lows, high, need = marks[u]
-                while s >= need:
-                    bvalue[s], node, s = node[1], node[2], s - 1
-                lo_at[u], hi_at[u] = max(map(bvalue.__getitem__, lows)), bvalue[high]
-            low, high = lo_at[u], hi_at[u]
-            for i in range(i, len(buf)):
-                if base + spent >= room:
-                    result = "budget_exceeded", max_nodes, None
-                    break
-                spent += 1
-                y = buf[i]
-                if low < y < high:
+        # The fill's path is one B prefix e at depth u and its parents up to
+        # depth d, one per depth t: it is at[t] in frontier t and, above e,
+        # resumes at candidate nxt[t].  Only kept prefixes are allocated.
+        # base is the shallower tests of the current depth-d prefix, so the
+        # literal walk is at node max_nodes - room + base + spent.
+        spent = 0
+        try:
+            for n, e in enumerate(frontiers[d]):
+                # B's values above depth d come from e's parents, on demand.
+                node, s, base, u, i, at[d] = e, d - 1, e[3], d, 0, n
+                while True:
+                    buf = e[0]
+                    if i == 0:  # first visit: bound B's output u
+                        lows, high, need = marks[u]
+                        while s >= need:
+                            bvalue[s], node, s = node[1], node[2], s - 1
+                        lo_at[u], hi_at[u] = max(map(bvalue.__getitem__, lows)), bvalue[high]
+                    low, high = lo_at[u], hi_at[u]
+                    for i in range(i, len(buf)):
+                        if base + spent >= room:
+                            return "budget_exceeded", max_nodes, None
+                        spent += 1
+                        y = buf[i]
+                        if low < y < high:
+                            break
+                    else:  # e is done: back to its parent's next candidate
+                        if u == d:
+                            break
+                        e, u = e[2], u - 1
+                        i = nxt[u]
+                        continue
                     if u + 1 == k:  # one candidate left, and it completes a witness
                         choices = _ranks(pick, limits), _chain_ranks(e)
-                        result = "witness_found", max_nodes - room + base + spent, choices
-                        break
+                        return "witness_found", max_nodes - room + base + spent, choices
                     kids = frontiers[u + 1]
-                    kid = (buf[:i] + buf[i + 1 :] + incoming[u], y, e, e[3] + n * widths[u] + i + 1)
-                    stack += (e, u, i + 1, n), (kid, u + 1, 0, len(kids))
-                    kids.append(kid)
-                    break
-            if result:
-                break
-        else:
+                    e = (buf[:i] + buf[i + 1 :] + incoming[u], y, e, e[3] + at[u] * widths[u] + i + 1)
+                    nxt[u], bvalue[u], u, i = i + 1, y, u + 1, 0
+                    at[u] = len(kids)
+                    kids.append(e)
+                    if marks[u] is None:
+                        marks[u] = reach(u)
             for empty in range(d + 1, k + 1):
                 partial[empty] = partial[empty - 1] + len(frontiers[empty - 1]) * widths[empty - 1]
                 ids[empty] = len(interned) + 1
-                interned[(ids[empty - 1], *marks[empty - 1])] = ids[empty], frontiers[empty]
+                lows, high, _ = marks[empty - 1]
+                interned[(ids[empty - 1], high, *lows)] = ids[empty], frontiers[empty]
                 if not frontiers[empty]:
-                    result = empty
-                    break
-        tally["bTests"] += spent
-        return result
+                    return empty
+        finally:
+            tally["bTests"] += spent
 
     def finish(status, nodes, found=None):
         if stats is not None:
@@ -302,10 +316,6 @@ def _walk(
             return finish("budget_exceeded", count)
         count += 1
         pick[d], used[j], value[d] = j, 1, native_a[j]
-        j = -1
-        for u in range(d + 1, k):  # A's first choices below: the lowest unused
-            j = used.find(0, j + 1, limits[u])
-            pick[u], used[j], value[u] = j, 1, native_a[j]
         s = fill(d, max_nodes - count - (k - d - 1))
         if isinstance(s, tuple):  # the first leaf below decides the search
             tally["aNodes"] += k - d
@@ -318,9 +328,6 @@ def _walk(
         count += added
         tally["aNodes"] += s - d
         tally["closedFormSubtrees"] += 1
-        for u in range(s, k):
-            used[pick[u]] = 0
-            pick[u] = -1
         d = s - 1
     return finish("space_exhausted", count)
 

@@ -7,6 +7,7 @@ import importlib
 import inspect
 import io
 import json
+import os
 import pkgutil
 import random
 import subprocess
@@ -1064,3 +1065,33 @@ def test_byte_identical_output(argv):
     ]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_7(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["pattern", "5,2,9"]) == 7
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n", [3, 300])
+def test_closed_pipe_leaves_no_traceback(n):
+    # The pipe's reader is gone before eolab starts.  Without
+    # PYTHONUNBUFFERED stdout is block-buffered: 3 elements fail at main's
+    # flush and stay buffered, so the interpreter's own flush at exit must
+    # not fail on them; 300 overflow the buffer and fail at the write.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eolab", "pattern", ",".join(map(str, range(n)))],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (7, b"")

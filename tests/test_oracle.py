@@ -200,6 +200,18 @@ def test_pair_table_lists_index_pairs_in_order(n):
     assert oracle._pairs(n) == tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
+def test_pair_table_cache_stays_small():
+    # brute_force_pair_sets builds its pairs itself, so a long reference
+    # sequence leaves no table behind, and the loops keep a few lengths.
+    oracle._pairs.cache_clear()
+    up, down = oracle.brute_force_pair_sets(tuple(range(400)))
+    assert (len(up), len(down)) == (79_800, 0)
+    assert oracle._pairs.cache_info().currsize == 0
+    for n in range(40):
+        oracle._direct_leq(tuple(range(n)), tuple(range(n)))
+    assert oracle._pairs.cache_info().currsize <= 8
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_direct_loops_match_nested_ranges_on_permutations(n):
     perms = list(itertools.permutations(range(n)))

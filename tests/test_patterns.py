@@ -156,6 +156,18 @@ def test_non_permutation_message_is_clipped():
     assert len(str(exc.value)) < 1024
 
 
+@pytest.mark.parametrize(
+    "ranks",
+    [(0, 0), (1, 1, 0), (0, 2), (1, 2, 3), (0, 0.5, 2), (0, 1, 2.5), (-1, 0, 1), ("0", "1")],
+    ids=["repeat", "repeat3", "gap", "shifted", "half", "fraction", "negative", "strings"],
+)
+def test_non_permutation_ranks_rejected(ranks):
+    # Repeats, gaps and non-integer ranks are all refused with a raise,
+    # which python -O keeps.
+    with pytest.raises(ValueError, match="not a permutation"):
+        OrderPattern(ranks)
+
+
 # --- ascents / inversions, as `pattern` renders them --------------------
 
 

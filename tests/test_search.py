@@ -259,3 +259,28 @@ def test_budget_cut_points_match_recursive_reference(k, w, relation):
         assert search(evens, countdown, b) == recursive_witness_search(
             evens, countdown, b, relation
         ), max_nodes
+
+
+# Rising against falling natives: (k, w) -> the exact counters of each
+# relation's walk at max_nodes 1,500,000.  Any change to how the walk
+# fills, shares or counts its frontiers moves some of them.
+WALK_COUNTERS = {
+    (8, 4): ((5358, 43658, 4131, 3176, 1316186), (5358, 15446, 4131, 3176, 779636)),
+    (10, 3): ((348, 1083, 265, 233, 668532), (348, 732, 265, 233, 537636)),
+    (7, 4): ((2153, 15234, 1503, 1114, 228942), (2153, 5812, 1503, 1114, 147135)),
+    (9, 3): ((348, 1083, 265, 233, 222843), (348, 732, 265, 233, 179211)),
+    (8, 3): ((348, 1083, 265, 233, 74280), (348, 732, 265, 233, 59736)),
+    (7, 3): ((317, 1013, 234, 202, 24595), (317, 677, 234, 202, 19779)),
+    (6, 4): ((479, 2303, 297, 216, 21428), (479, 1188, 297, 216, 16673)),
+    (6, 3): ((234, 787, 151, 126, 7806), (234, 522, 151, 126, 6328)),
+}
+
+
+@pytest.mark.parametrize("k,w", list(WALK_COUNTERS))
+def test_walk_counters_are_pinned(k, w):
+    evens, countdown = load_program("evens"), load_program("countdown")
+    keys = ("aNodes", "bTests", "frontierHits", "closedFormSubtrees", "nodesExplored")
+    for search, counters in zip((search_eo_witness, search_uniform_witness), WALK_COUNTERS[k, w]):
+        report = search(evens, countdown, budget(k=k, w=w, max_nodes=1_500_000))
+        assert report.stats == dict(zip(keys, counters)), (k, w, report.relation)
+        assert report.nodes_explored == report.stats["nodesExplored"]
