@@ -3,9 +3,10 @@
 Exit codes: 0 success or witness found, 1 oracle suite failure, 2 input
 error, 3 space exhausted / antichain unavailable, 4 enumeration
 insufficient or arithmetic overflow, 5 node budget exceeded, 6 internal
-error (a bug, failed re-checks included), 7 stdout closed before the
-output was written (a pipe whose reader quit).  Output goes to stdout,
-diagnostics to stderr; identical invocations produce byte-identical output.
+error (a bug, failed re-checks included), 7 stdout could not take the
+output (a pipe whose reader quit, a full device or a closed fd 1).
+Output goes to stdout, diagnostics to stderr; identical invocations
+produce byte-identical output.
 
 ``main`` may be called any number of times in one process.  The argument
 parser is built on the first call and reused by every later one; each call
@@ -406,16 +407,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         message = f"internal error: {type(exc).__name__}: {exc}" if code == EXIT_INTERNAL else exc
         print(f"error: {message}", file=sys.stderr)
         return code
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        print("error: stdout is closed", file=sys.stderr)
+        return EXIT_CLOSED_STDOUT
     try:
         sys.stdout.write(output)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader is gone, so there is no one to tell
+        return EXIT_CLOSED_STDOUT
+    except OSError as exc:
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return EXIT_CLOSED_STDOUT
     return code
 
 
 def run() -> None:
     code = main()
-    if code == EXIT_CLOSED_STDOUT:  # leave the interpreter's last flush nothing to fail on
+    # Leave the interpreter's last flush nothing to fail on; a closed fd 1
+    # gave no stdout to flush, nor a fileno() to replace.
+    if code == EXIT_CLOSED_STDOUT and sys.stdout is not None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     raise SystemExit(code)

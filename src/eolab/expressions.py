@@ -14,8 +14,10 @@ Guards add comparisons and boolean connectives on top::
 
 The only bound variable is ``i``.  Arithmetic is checked unsigned
 64-bit: subtraction truncates at zero, anything exceeding 2**64 - 1
-raises instead of wrapping.  Each expression is compiled once, at parse
-time, into nested closures.  Parentheses may nest, and the syntax tree
+raises instead of wrapping.  Each expression is scanned into plain
+``(kind, text, position)`` tuples, parsed, and compiled once, at parse
+time, into nested closures that read literals and a bare ``i`` in place
+rather than calling them.  Parentheses may nest, and the syntax tree
 may grow, at most ``MAX_DEPTH`` levels deep, so that parsing, compiling
 and the compiled closures' calls stay well inside the default recursion
 limit.  Text over ``MAX_LENGTH`` characters is rejected before scanning.
@@ -59,9 +61,9 @@ class CheckedOverflowError(EvaluationError):
 
 # --- AST ------------------------------------------------------------------
 #
-# NamedTuples, as _Token is.  They compare as plain tuples, so no two kinds
-# may share a shape: _Nat and _Var differ in length, and the three binary
-# kinds in their op sets.
+# NamedTuples, which compare as plain tuples, so no two kinds may share a
+# shape: _Nat and _Var differ in length, and the three binary kinds in their
+# op sets.  Tokens are plain tuples, which are cheaper to build.
 
 
 class _Nat(NamedTuple):
@@ -99,14 +101,10 @@ _BoolNode = Union[_Compare, _Logic]
 # --- tokenizer ------------------------------------------------------------
 
 
-class _Token(NamedTuple):  # not a frozen dataclass, which is twice as slow to build
-    kind: str  # nat ident op end
-    text: str
-    position: int  # 1-based
-
-
-def _tokenize(source: str) -> Iterator[_Token]:
-    """Scan ``source`` one token at a time, as the parser asks; the last is ``end``."""
+def _tokenize(source: str) -> Iterator[tuple[str, str, int]]:
+    """Scan ``source`` one token at a time, as the parser asks, each a plain
+    ``(kind, text, position)`` tuple: kind is nat, ident, op or end, and
+    position is 1-based.  The last token is ``end``."""
     pos = 0
     n = len(source)
     while pos < n:
@@ -129,9 +127,9 @@ def _tokenize(source: str) -> Iterator[_Token]:
             kind = "op"
         else:
             raise ExpressionSyntaxError(f"unexpected character {ch!r}", pos + 1)
-        yield _Token(kind, source[pos:end], pos + 1)
+        yield kind, source[pos:end], pos + 1
         pos = end
-    yield _Token("end", "", n + 1)
+    yield "end", "", n + 1
 
 
 # --- parser ---------------------------------------------------------------
@@ -149,16 +147,16 @@ class _Parser:
         if len(source) > MAX_LENGTH:
             raise ExpressionSyntaxError(f"expression of {len(source)} characters exceeds {MAX_LENGTH}", MAX_LENGTH + 1)
         self.tokens = _tokenize(source)
-        self.token = next(self.tokens)
+        self.advance()
         self.nesting = 0
 
     def advance(self) -> None:
-        self.token = next(self.tokens)
+        self.kind, self.text, self.position = next(self.tokens)
 
     def chain(self, operand: Callable[[int], tuple], ops: tuple[str, ...], kind, room: int) -> tuple:
         """``operand (op operand)*`` for ``op`` in ``ops``, joined to the left."""
         left = operand(room)
-        while (op := self.token.text) in ops:
+        while (op := self.text) in ops:
             if left[1] == room:
                 raise ExpressionSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 1)
             self.advance()
@@ -167,33 +165,32 @@ class _Parser:
         return left
 
     def factor(self, room: int) -> tuple[_ArithNode, int]:
-        tok = self.token
-        if tok.text == "(":
+        text = self.text
+        if text == "(":
             self.nesting += 1
             if self.nesting > MAX_DEPTH:
-                raise ExpressionSyntaxError(f"parentheses nest deeper than {MAX_DEPTH}", tok.position)
+                raise ExpressionSyntaxError(f"parentheses nest deeper than {MAX_DEPTH}", self.position)
             self.advance()
             inner = self.expr(room)
             self.nesting -= 1
-            closing = self.token
-            if closing.text != ")":
-                raise ExpressionSyntaxError("expected ')'", closing.position)
+            if self.text != ")":
+                raise ExpressionSyntaxError("expected ')'", self.position)
             self.advance()
             return inner
-        if tok.kind == "nat":
+        if self.kind == "nat":
             # Length first: int() refuses strings of more than 4,300 digits.
-            digits = tok.text.lstrip("0") or "0"
+            digits = text.lstrip("0") or "0"
             if len(digits) > len(str(MAX_VALUE)) or int(digits) > MAX_VALUE:
-                raise ExpressionSyntaxError(f"literal {clip(tok.text)} exceeds 64 bits", tok.position)
+                raise ExpressionSyntaxError(f"literal {clip(text)} exceeds 64 bits", self.position)
             node = _Nat(int(digits))
-        elif tok.text == "i":
+        elif text == "i":
             node = _Var()
-        elif tok.text in _KEYWORDS:
-            raise ExpressionSyntaxError(f"unexpected keyword {tok.text!r}", tok.position)
-        elif tok.kind == "ident":
-            raise UnknownIdentifierError(tok.text, tok.position)
+        elif text in _KEYWORDS:
+            raise ExpressionSyntaxError(f"unexpected keyword {text!r}", self.position)
+        elif self.kind == "ident":
+            raise UnknownIdentifierError(text, self.position)
         else:
-            raise ExpressionSyntaxError(f"expected a natural, 'i' or '(' but found {tok.text or 'end of input'!r}", tok.position)
+            raise ExpressionSyntaxError(f"expected a natural, 'i' or '(' but found {text or 'end of input'!r}", self.position)
         self.advance()
         return node, 1
 
@@ -205,15 +202,15 @@ class _Parser:
 
     def comparison(self, room: int) -> tuple[_Compare, int]:
         left, left_height = self.expr(room - 1)
-        tok = self.token
-        if tok.text not in _CMP_OPS:
+        op = self.text
+        if op not in _CMP_OPS:
             raise GuardTypeError(
                 f"guard requires a comparison (==, !=, <, <=) but found "
-                f"{clip(repr(tok.text or 'end of input'))} at position {tok.position}"
+                f"{clip(repr(op or 'end of input'))} at position {self.position}"
             )
         self.advance()
         right, right_height = self.expr(room - 1)
-        return _Compare(tok.text, left, right), max(left_height, right_height) + 1
+        return _Compare(op, left, right), max(left_height, right_height) + 1
 
     def conj(self, room: int) -> tuple[_BoolNode, int]:
         return self.chain(self.comparison, ("and",), _Logic, room)
@@ -222,24 +219,27 @@ class _Parser:
         return self.chain(self.conj, ("or",), _Logic, room)
 
     def expect_end(self) -> None:
-        tok = self.token
-        if tok.text:
-            raise ExpressionSyntaxError(f"unexpected trailing {clip(repr(tok.text))}", tok.position)
+        if self.text:
+            raise ExpressionSyntaxError(f"unexpected trailing {clip(repr(self.text))}", self.position)
 
 
 # --- compilation ----------------------------------------------------------
 #
 # Each tree is compiled once, at parse time, into nested closures, so that
 # evaluation dispatches on nothing.  A literal operand is folded into its
-# parent's closure instead of being called.  Operands are evaluated left to
-# right and every error is raised as by the tree-walking reference,
-# ``oracle._eval_arith``; the literal, which raises nothing, is the only
-# operand whose place may change.
+# parent's closure instead of being called, and so is a bare ``i`` beside a
+# literal: ``c + i``, ``c * i`` and ``c - i`` read ``i`` in place, either way
+# round, and ``i`` compared with or taken mod a literal is the literal's
+# reflected method (``i < c`` is ``c.__gt__``, ``i mod c`` is
+# ``c.__rmod__``).  Operands are evaluated left to right and every error is
+# raised as by the tree-walking references, ``oracle._eval_arith`` and
+# ``_eval_bool``; the literal and ``i``, which raise nothing, are the only
+# operands whose place may change.
 
 _OVERFLOW = "overflow beyond 64 bits"
 
 
-def _identity(i: int) -> int:
+def _identity(i: int) -> int:  # a bare ``i``, which the closures below look for
     return i
 
 
@@ -254,7 +254,13 @@ def _operand(node: _ArithNode, source: str) -> Union[int, Callable[[int], int]]:
 def _add(left, right, source: str) -> Callable[[int], int]:
     if type(right) is int:
         left, right = right, left
-    if type(left) is int:
+    if type(left) is int and right is _identity:
+        def add(i):
+            result = left + i
+            if result > MAX_VALUE:
+                raise CheckedOverflowError(_OVERFLOW, source, i)
+            return result
+    elif type(left) is int:
         def add(i):
             result = left + right(i)
             if result > MAX_VALUE:
@@ -272,7 +278,13 @@ def _add(left, right, source: str) -> Callable[[int], int]:
 def _mul(left, right, source: str) -> Callable[[int], int]:
     if type(right) is int:
         left, right = right, left
-    if type(left) is int:
+    if type(left) is int and right is _identity:
+        def mul(i):
+            result = left * i
+            if result > MAX_VALUE:
+                raise CheckedOverflowError(_OVERFLOW, source, i)
+            return result
+    elif type(left) is int:
         def mul(i):
             result = left * right(i)
             if result > MAX_VALUE:
@@ -294,10 +306,20 @@ def _mul(left, right, source: str) -> Callable[[int], int]:
 
 
 def _sub(left, right, source: str) -> Callable[[int], int]:
-    if type(left) is int:
+    if type(left) is int and right is _identity:
+        def sub(i):
+            return left - i if left > i else 0
+    elif type(left) is int:
         def sub(i):
             b = right(i)
             return left - b if left > b else 0
+    elif type(right) is int and left is _identity:
+        def sub(i):
+            if i <= right:
+                return 0
+            if i - right > MAX_VALUE:
+                raise CheckedOverflowError(_OVERFLOW, source, i)
+            return i - right
     elif type(right) is int:
         def sub(i):
             a = left(i)
@@ -353,12 +375,13 @@ def _compile_arith(node: _ArithNode, source: str) -> Callable[[int], int]:
 
 
 # Comparisons by operator: one closure for two computed operands, one for a
-# literal right operand.  A literal left operand is computed.
+# literal right operand, and the literal's reflected method for ``i`` against
+# a literal (``i < c`` is ``c > i``).  A literal left operand is computed.
 _COMPARE = {
-    "==": (lambda a, b: lambda i: a(i) == b(i), lambda a, c: lambda i: a(i) == c),
-    "!=": (lambda a, b: lambda i: a(i) != b(i), lambda a, c: lambda i: a(i) != c),
-    "<": (lambda a, b: lambda i: a(i) < b(i), lambda a, c: lambda i: a(i) < c),
-    "<=": (lambda a, b: lambda i: a(i) <= b(i), lambda a, c: lambda i: a(i) <= c),
+    "==": (lambda a, b: lambda i: a(i) == b(i), lambda a, c: lambda i: a(i) == c, "__eq__"),
+    "!=": (lambda a, b: lambda i: a(i) != b(i), lambda a, c: lambda i: a(i) != c, "__ne__"),
+    "<": (lambda a, b: lambda i: a(i) < b(i), lambda a, c: lambda i: a(i) < c, "__gt__"),
+    "<=": (lambda a, b: lambda i: a(i) <= b(i), lambda a, c: lambda i: a(i) <= c, "__ge__"),
 }
 
 
@@ -366,8 +389,10 @@ def _compile_bool(node: _BoolNode, source: str) -> Callable[[int], bool]:
     if isinstance(node, _Compare):
         left = _compile_arith(node.left, source)
         right = _operand(node.right, source)
-        computed, literal = _COMPARE[node.op]
-        return literal(left, right) if type(right) is int else computed(left, right)
+        computed, literal, reflected = _COMPARE[node.op]
+        if type(right) is not int:
+            return computed(left, right)
+        return getattr(right, reflected) if left is _identity else literal(left, right)
     left, right = _compile_bool(node.left, source), _compile_bool(node.right, source)
     if node.op == "and":
         return lambda i: left(i) and right(i)

@@ -148,8 +148,7 @@ def dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> DovetailTrace:
 
     for n in range(round_cap + 1):
         r = n or 1  # round 1 tries inputs 0 and 1; no input is ever due in it
-        bucket = due.get(r)
-        if bucket is not None:
+        if due and (bucket := due.get(r)) is not None:  # due empties once r passes every cost
             for i in bucket:  # filed in an earlier round, so its cost is r
                 steps += _span(max(1, i), r)
                 halted.add(i)

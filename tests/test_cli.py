@@ -1095,3 +1095,30 @@ def test_closed_pipe_leaves_no_traceback(n):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (7, b"")
+
+
+def _assert_unwritable_stdout(proc):
+    assert proc.returncode == 7
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+
+def test_closed_fd_1_exits_7():
+    # With fd 1 closed at startup the interpreter sets sys.stdout to None.
+    proc = subprocess.run(
+        [sys.executable, "-m", "eolab", "pattern", "1,2"],
+        stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+    )
+    _assert_unwritable_stdout(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("n", [2, 300])
+def test_full_stdout_exits_7(n):
+    # Every write to /dev/full fails with ENOSPC, at main's write or flush.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eolab", "pattern", ",".join(map(str, range(n)))],
+            stdout=full, stderr=subprocess.PIPE,
+        )
+    _assert_unwritable_stdout(proc)

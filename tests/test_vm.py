@@ -213,6 +213,19 @@ _input = st.sampled_from([0, 1, 2, 2**32 - 1, 2**32, 2**33, MAX_VALUE, 2**64, 2*
 _input |= st.integers(0, 2**33)
 
 
+
+
+def _in_place_examples(test):
+    """An example for each shape whose closure reads a bare ``i`` in place,
+    at inputs below, at and above the 64-bit edge."""
+    shapes = [parse_arith(s) for s in ("5 + i", "i + 5", "3 * i", "i * 3", "7 - i", "i - 7")]
+    shapes += [parse_guard(f"i {op} 7") for op in ("<", "<=", "==", "!=")]
+    for expr in shapes:
+        for i in (7, MAX_VALUE, 2**64, 2**65):
+            test = example(expr, i)(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_expr.map(parse_arith), _guard.map(parse_guard)), _input)
 @example(parse_guard("i < 5 or i mod 0 == 1"), 3)  # the right side would raise
@@ -228,6 +241,7 @@ _input |= st.integers(0, 2**33)
 @example(parse_arith("(i * i * i) + (i mod 0)"), 2**33)
 @example(parse_arith("(i * i * i) - (i mod 0)"), 2**33)
 @example(parse_arith("(i * i * i) mod (i mod 0)"), 2**33)
+@_in_place_examples
 def test_compiled_agrees_with_tree_walk(expr, i):
     # Same value, or the same exception type and message (and so the same
     # expression and the same i=).
