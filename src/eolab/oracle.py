@@ -104,10 +104,15 @@ def _require(condition: bool, message: str) -> None:
         raise OracleCapError(message)
 
 
+def _row(relation, p, others) -> int:
+    # Bit b set iff relation(p, others[b]): one call per pair, in order.
+    return sum(1 << b for b, q in enumerate(others) if relation(p, q))
+
+
 def _leq_rows(perms) -> list[int]:
     # Row a holds bit b iff perms[a] <= perms[b] by the direct loop: one
     # literal evaluation per ordered pair, kept only for this call.
-    return [sum(1 << b for b, q in enumerate(perms) if _direct_leq(p, q)) for p in perms]
+    return [_row(_direct_leq, p, perms) for p in perms]
 
 
 def _bits(mask: int):
@@ -155,19 +160,19 @@ def check_preorder_laws(n: int) -> OracleReport:
 def check_inversion_equiv(n: int) -> OracleReport:
     """Direct double loop vs the containment-based fast path, all pairs.
 
-    Cap n <= 6 (518,400 ordered pairs).
+    Each pattern's row of direct verdicts, read off the bit rows, is
+    compared with its row of fast-path verdicts; the failures are the
+    bits where they differ.  Cap n <= 6 (518,400 ordered pairs).
     """
     _require(1 <= n <= 6, f"inversion suite caps at n=6, got {clip(n)}")
     perms = list(itertools.permutations(range(n)))
     objects = [fast.OrderPattern(p) for p in perms]
     failures = []
-    for (p, po), (q, qo) in itertools.product(zip(perms, objects), repeat=2):
-        direct = _direct_leq(p, q)
-        contained = fast.eo_leq(po, qo)
-        if direct != contained:
-            failures.append(
-                {"p": list(p), "q": list(q), "direct": direct, "containment": contained}
-            )
+    for p, po, direct in zip(perms, objects, _leq_rows(perms)):
+        contained = _row(fast.eo_leq, po, objects)
+        for b in _bits(direct ^ contained):
+            failures.append({"p": list(p), "q": list(perms[b]), "direct": bool(direct >> b & 1),
+                             "containment": bool(contained >> b & 1)})
     m = len(perms)
     return OracleReport("inversion", {"n": n}, m * m, tuple(failures), relation_tests=m * m)
 
@@ -178,25 +183,30 @@ def check_theorem10(n: int) -> OracleReport:
     All five available computations of the equivalence — direct loops
     both ways (read off the bit rows), the direct biconditional, the
     module's eo_equiv and uniform — are compared against plain pattern
-    equality, for every ordered pair.  Cap n <= 6.
+    equality, for every ordered pair: each gives p one row of verdicts,
+    which must be p's own bit alone.  Only a row that is not gets its
+    pairs walked, to report them.  Cap n <= 6.
     """
     _require(1 <= n <= 6, f"theorem10 suite caps at n=6, got {clip(n)}")
     perms = list(itertools.permutations(range(n)))
     m = len(perms)
     objects = [fast.OrderPattern(p) for p in perms]
     rows = _leq_rows(perms)
+    names = ("direct_two_sided", "direct_uniform", "module_eo_equiv", "module_uniform")
     failures = []
-    for a, (p, po, row_a) in enumerate(zip(perms, objects, rows)):
-        for b, (q, qo, row_b) in enumerate(zip(perms, objects, rows)):
-            equal = p == q
-            two_sided = row_a >> b & 1 == 1 and row_b >> a & 1 == 1
-            direct_uniform = _direct_uniform(p, q)
-            eo_equiv = fast.eo_equiv(po, qo)
-            uniform = fast.uniform(po, qo)
-            if not equal == two_sided == direct_uniform == eo_equiv == uniform:
-                failures.append({"p": list(p), "q": list(q), "equal": equal,
-                                 "direct_two_sided": two_sided, "direct_uniform": direct_uniform,
-                                 "module_eo_equiv": eo_equiv, "module_uniform": uniform})
+    for a, (p, po, row) in enumerate(zip(perms, objects, rows)):
+        verdicts = [
+            sum(1 << b for b in _bits(row) if rows[b] >> a & 1),
+            _row(_direct_uniform, p, perms),
+            _row(fast.eo_equiv, po, objects),
+            _row(fast.uniform, po, objects),
+        ]
+        if verdicts == [1 << a] * 4:
+            continue
+        for b, q in enumerate(perms):
+            holds = [bool(verdict >> b & 1) for verdict in verdicts]
+            if holds != [a == b] * 4:
+                failures.append({"p": list(p), "q": list(q), "equal": a == b, **dict(zip(names, holds))})
     return OracleReport("theorem10", {"n": n}, m * m, tuple(failures), relation_tests=2 * m * m)
 
 

@@ -132,11 +132,6 @@ def pattern_of(prefix: ListingPrefix | Sequence[int]) -> OrderPattern:
     return OrderPattern(tuple(rank_by_value[v] for v in prefix.elements))
 
 
-def _check_lengths(p: OrderPattern, q: OrderPattern) -> None:
-    if len(p.ranks) != len(q.ranks):
-        raise LengthMismatchError(len(p.ranks), len(q.ranks))
-
-
 def eo_leq(p: OrderPattern, q: OrderPattern) -> bool:
     """Whether every ascent of p is an ascent of q.
 
@@ -150,14 +145,16 @@ def eo_leq(p: OrderPattern, q: OrderPattern) -> bool:
     >>> eo_leq(OrderPattern((0, 1)), OrderPattern((1, 0)))
     False
     """
-    _check_lengths(p, q)
+    if len(p.ranks) != len(q.ranks):
+        raise LengthMismatchError(len(p.ranks), len(q.ranks))
     return p.ascent_mask & ~q.ascent_mask == 0
 
 
 def _first_violation(p: OrderPattern, q: OrderPattern) -> tuple[int, int] | None:
     """Least index pair, in lexicographic order, that is an ascent of p but
     an inversion of q; None exactly when p ≤eo q."""
-    _check_lengths(p, q)
+    if len(p.ranks) != len(q.ranks):
+        raise LengthMismatchError(len(p.ranks), len(q.ranks))
     diff = p.ascent_mask & ~q.ascent_mask
     if not diff:
         return None
@@ -175,7 +172,8 @@ def _ascent_rows(p: OrderPattern) -> Iterator[bytes]:
 def uniform(p: OrderPattern, q: OrderPattern) -> bool:
     """Positionwise order-isomorphism: for injective sequences this is
     exactly pattern equality."""
-    _check_lengths(p, q)
+    if len(p.ranks) != len(q.ranks):
+        raise LengthMismatchError(len(p.ranks), len(q.ranks))
     return p.ranks == q.ranks
 
 

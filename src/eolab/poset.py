@@ -16,9 +16,9 @@ saying so.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
-from itertools import permutations
-from operator import lt
+from itertools import combinations, permutations
 
 from .errors import InputError, NoAntichainError, clip
 from .patterns import PREFIX_SCOPE_NOTE, OrderPattern, eo_leq
@@ -138,80 +138,181 @@ def max_chain(n: int) -> Chain:
     return Chain(tuple(chain))
 
 
-def _width(n: int) -> int:
-    """The size of the largest antichain among length-n patterns.  The weak
-    order is Sperner (Gaetz & Gao), so that is its largest inversion-count
-    level: the largest coefficient of (1)(1+q)...(1+q+...+q^(n-1))."""
-    levels = [1]
-    for i in range(2, n + 1):
-        levels = [sum(levels[max(0, k - i + 1) : k + 1]) for k in range(len(levels) + i - 1)]
-    return max(levels)
-
-
-_BINARY = bytes.maketrans(b"\0\1", b"01")
-
-
 def _comparability(perms: list[tuple[int, ...]]):
-    """A function giving, for node index a, the bits of the nodes comparable
-    to ``perms[a]`` (itself included).  Column (i, j) holds bit b iff
-    perms[b][i] < perms[b][j]; the nodes above p ascend at every ascent of
-    p, and those below it descend at every inversion of p."""
-    pos = list(zip(*reversed(perms)))  # int(..., 2) reads the last node's bit first
-    pairs = [(i, j) for i in range(len(pos)) for j in range(i + 1, len(pos))]
-    columns = [int(bytes(map(lt, pos[i], pos[j])).translate(_BINARY), 2) for i, j in pairs]
+    """A function giving, for node index a, the bits of the nodes strictly
+    above ``perms[a]`` and the bits of those strictly below it.  Column
+    (i, j) holds bit b iff perms[b][i] < perms[b][j], that is iff some v
+    has perms[b][i] < v <= perms[b][j]; the nodes above p ascend at every
+    ascent of p, and those below it descend at every inversion of p."""
+    n = len(perms[0])
+    tables = [bytes.maketrans(bytes(range(n)), b"0" * v + b"1" * (n - v)) for v in range(1, n)]
+    # at_least[i][v - 1]: the nodes whose value at position i is at least v;
+    # int(..., 2) reads the last node's bit first.
+    at_least = [[int(values.translate(t), 2) for t in tables]
+                for values in map(bytes, zip(*reversed(perms)))]
+    columns = []
+    for i, j in combinations(range(n), 2):
+        column = 0
+        for at_i, at_j in zip(at_least[i], at_least[j]):
+            column |= at_j & ~at_i
+        columns.append((i, j, column))
     full = (1 << len(perms)) - 1
 
-    def comparable(a: int) -> int:
-        p = perms[a]
-        up = down = full
-        for (i, j), column in zip(pairs, columns):
+    def above_below(a: int) -> tuple[int, int]:
+        p, others = perms[a], full ^ (1 << a)
+        up, inverted = others, 0
+        for i, j, column in columns:
             if p[i] < p[j]:
                 up &= column
             else:
-                down &= ~column
-        return up | down
+                inverted |= column
+        return up, others & ~inverted
 
-    return comparable
+    return above_below
+
+
+def _levels(n: int) -> list[int]:
+    """The inversion-count levels of the length-n patterns as node bit
+    masks, level l at index l.  Each level is an antichain, and the weak
+    order is Sperner (Gaetz & Gao), so the largest level gives the width.
+    The patterns starting with c are a block of (n-1)! nodes in
+    lexicographic order, each with c inversions there plus those of the
+    length-(n-1) pattern of the rest."""
+    levels, block = [1], 1
+    for i in range(2, n + 1):
+        longer = [0] * (len(levels) + i - 1)
+        for c in range(i):
+            for l, level in enumerate(levels):
+                longer[l + c] |= level << c * block
+        levels, block = longer, block * i
+    return levels
+
+
+def _matching_exceeds(s: int, limit: int, above_below) -> bool:
+    """Whether strict comparability inside the nodes ``s`` (left node u to
+    right node v for u < v) has a matching of more than ``limit`` edges.
+    A greedy pass matches each node to its least free successor; passes
+    of augmenting paths then grow the matching, each searching once from
+    every free left node, breadth first on bit masks, and sharing the
+    right nodes reached across its searches.  A pass that grows nothing
+    proves the matching maximum."""
+    mate: dict[int, int] = {}  # left node -> right node
+    taken = 0  # the matched right nodes
+    free = []
+    for u in [digit.start() for digit in re.finditer("1", bin(s)[:1:-1])]:  # the nodes of s
+        end = above_below(u)[0] & s & ~taken
+        if end:
+            end &= -end
+            taken |= end
+            mate[u] = end.bit_length() - 1
+            if len(mate) > limit:
+                return True
+        else:
+            free.append(u)
+    right = {v: u for u, v in mate.items()}
+    seen = 0
+
+    def augment(start: int) -> bool:
+        nonlocal seen, taken
+        parent, layer = {}, [start]
+        while layer:
+            next_layer = []
+            for x in layer:
+                reach = above_below(x)[0] & s & ~seen
+                seen |= reach
+                end = reach & ~taken
+                if end:  # flip the path from start to a free right node
+                    end &= -end
+                    taken |= end
+                    v = end.bit_length() - 1
+                    while x is not None:
+                        mate[x], right[v], v = v, x, mate.get(x)
+                        x = parent.get(v)
+                    return True
+                while reach:
+                    low = reach & -reach
+                    reach ^= low
+                    v = low.bit_length() - 1
+                    parent[v] = x
+                    next_layer.append(right[v])
+            layer = next_layer
+        return False
+
+    grown = True
+    while grown and len(mate) <= limit:
+        grown, seen = False, 0
+        for u in free:
+            if augment(u):
+                grown = True
+                if len(mate) > limit:
+                    return True
+        free = [u for u in free if u not in mate]
+    return len(mate) > limit
 
 
 def sample_antichain(n: int, size: int) -> Antichain:
     """The lexicographically least antichain of the requested size.
 
-    Depth-first scan in lexicographic node order with backtracking, so
-    an antichain is found whenever one exists; raises NoAntichainError
-    otherwise, at once when ``size`` exceeds the poset's width (e.g.
-    n <= 2, where the poset is a chain).  A branch stops once fewer
-    allowed candidates remain than are still needed.  ``stats`` counts
-    the comparability masks built and the branches (candidates) tried.
+    One scan in lexicographic node order keeps a node exactly when the
+    later allowed nodes incomparable to it still hold an antichain of the
+    remaining size, so the scan never backtracks; raises
+    NoAntichainError at once when ``size`` exceeds the poset's width
+    (e.g. n <= 2, where the poset is a chain).  Whether a node set S holds
+    an antichain of k nodes is decided by the first of these that
+    settles it: |S| < k; the greedy lexicographic antichain in S reaches
+    k; an inversion-count level holds k nodes of S; else, by Dilworth's
+    theorem, |S| minus a maximum matching on strict comparability inside
+    S (the width of S) is at least k.  ``stats`` counts the
+    comparability masks built, the feasibility tests and the tests that
+    needed a matching.
     """
     _check_n(n)
     if size < 2:
         raise InputError(f"antichain size must be >= 2, got {clip(size)}")
-    if size > _width(n):
+    levels = _levels(n)
+    if size > max(map(int.bit_count, levels)):
         raise NoAntichainError(f"no antichain of size {clip(size)} among length-{n} patterns")
     perms = list(permutations(range(n)))
-    comparable = functools.cache(_comparability(perms))
-    branches = 0
+    above_below = functools.cache(_comparability(perms))
+    tests = matchings = 0
 
-    def extend(allowed: int, need: int) -> list[int] | None:
-        # ``allowed``: bits of the later nodes incomparable with every chosen one.
-        nonlocal branches
-        if need == 0:
+    def holds(s: int, k: int) -> list[int] | None:
+        # Whether the nodes in s hold an antichain of k nodes: None if not,
+        # else the greedy antichain in s when it reaches k (the scan would
+        # keep each of its nodes in turn), else [].
+        nonlocal tests, matchings
+        tests += 1
+        if s.bit_count() < k:
+            return None
+        rest, greedy = s, []
+        while rest and len(greedy) < k:
+            low = rest & -rest
+            greedy.append(low.bit_length() - 1)
+            up, down = above_below(greedy[-1])
+            rest &= ~(up | down | low)
+        if len(greedy) == k:
+            return greedy
+        if any((s & level).bit_count() >= k for level in levels):
             return []
-        while allowed.bit_count() >= need:
-            branches += 1
-            lowest = allowed & -allowed
-            allowed ^= lowest
-            idx = lowest.bit_length() - 1
-            found = extend(allowed & ~comparable(idx), need - 1)
-            if found is not None:
-                return [idx] + found
-        return None
+        matchings += 1
+        return None if _matching_exceeds(s, s.bit_count() - k, above_below) else []
 
-    found = extend((1 << len(perms)) - 1, size)
-    if found is None:
+    found: list[int] = []
+    allowed = (1 << len(perms)) - 1  # later nodes incomparable with every kept one
+    while allowed and len(found) < size:
+        low = allowed & -allowed
+        allowed ^= low
+        node = low.bit_length() - 1
+        up, down = above_below(node)
+        rest = allowed & ~(up | down)
+        tail = holds(rest, size - len(found) - 1)
+        if tail is not None:
+            found += [node, *tail]
+            allowed = rest
+    if len(found) < size:
         raise NoAntichainError(f"no antichain of size {clip(size)} among length-{n} patterns")
-    stats = {"comparabilityMasks": comparable.cache_info().currsize, "branches": branches}
+    stats = {"comparabilityMasks": above_below.cache_info().currsize,
+             "feasibilityTests": tests, "matchings": matchings}
     return Antichain(tuple(OrderPattern(perms[i]) for i in found), stats=stats)
 
 

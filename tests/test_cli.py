@@ -397,7 +397,8 @@ def test_poset_chain_json(capsys):
         ([], {"nodes": 24, "coverEdges": 36}),
         (["--chain"], {"nodes": 7, "coverEdges": 6}),
         (["--antichain", "5"],
-         {"nodes": 5, "coverEdges": 0, "comparabilityMasks": 15, "branches": 42}),
+         {"nodes": 5, "coverEdges": 0, "comparabilityMasks": 20, "feasibilityTests": 7,
+          "matchings": 2}),
     ],
 )
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
@@ -940,7 +941,7 @@ def test_unexpected_exception_exit_6(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "target,broken,argv,message",
     [
-        ("eolab.poset._comparability", lambda perms: lambda idx: 0,
+        ("eolab.poset._comparability", lambda perms: lambda idx: (0, 0),
          ["poset", "--n", "4", "--antichain", "3"],
          "patterns (0, 1, 2, 3) and (0, 1, 3, 2) are comparable"),
         ("eolab.poset.max_chain", lambda n: Chain((OrderPattern((0, 2, 1)), OrderPattern((1, 0, 2)))),

@@ -278,6 +278,19 @@ def _literal_preorder(n):
             "failures": failures}
 
 
+def _literal_inversion(n):
+    perms = list(itertools.permutations(range(n)))
+    objects = [fast.OrderPattern(p) for p in perms]
+    failures = []
+    for (p, po), (q, qo) in itertools.product(zip(perms, objects), repeat=2):
+        direct = oracle._direct_leq(p, q)
+        contained = fast.eo_leq(po, qo)
+        if direct != contained:
+            failures.append({"p": list(p), "q": list(q), "direct": direct, "containment": contained})
+    return {"suite": "inversion", "params": {"n": n}, "checked": len(perms) ** 2,
+            "failures": failures}
+
+
 def _literal_theorem10(n):
     perms = list(itertools.permutations(range(n)))
     objects = [fast.OrderPattern(p) for p in perms]
@@ -319,6 +332,7 @@ def _literal_hasse(n):
 
 _SUITES = {
     "preorder": (check_preorder_laws, _literal_preorder),
+    "inversion": (check_inversion_equiv, _literal_inversion),
     "theorem10": (check_theorem10, _literal_theorem10),
     "hasse": (check_hasse, _literal_hasse),
 }

@@ -18,7 +18,7 @@ from eolab.poset import (
     NoAntichainError,
     PosetRangeError,
     _comparability,
-    _width,
+    _levels,
     all_patterns,
     build_poset,
     export,
@@ -29,6 +29,10 @@ from eolab.poset import (
 
 def inversion_count(p):
     return sum(x > y for x, y in itertools.combinations(p.ranks, 2))
+
+
+def width(n):
+    return max(level.bit_count() for level in _levels(n))
 
 
 def direct_leq(p, q):
@@ -197,9 +201,9 @@ def test_antichain_unavailable():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_antichain_matches_backtracking_oracle(n):
-    # At n <= 4 these sizes run past the width, so sizes above it are
-    # checked against the oracle too.
-    for size in range(2, 9):
+    # Every size at n <= 4, one above the width included; sizes 2-10 at
+    # n = 5 and 6 (the oracle takes about 7 s at n=5 size 12).
+    for size in range(2, width(n) + 2 if n <= 4 else 11):
         try:
             want = brute_force_antichain(n, size)
         except NoAntichainError:
@@ -213,21 +217,29 @@ def test_antichain_matches_backtracking_oracle(n):
 def test_comparability_masks_match_direct_relation(n):
     perms = list(itertools.permutations(range(n)))
     rows = _leq_rows(perms)
-    comparable = _comparability(perms)
+    above_below = _comparability(perms)
     for a, row in enumerate(rows):
         below = sum(1 << b for b, other in enumerate(rows) if other >> a & 1)
-        assert comparable(a) == row | below
+        assert above_below(a) == (row & ~(1 << a), below & ~(1 << a))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_levels_match_inversion_counts(n):
+    want = [0] * (n * (n - 1) // 2 + 1)
+    for b, p in enumerate(all_patterns(n)):
+        want[inversion_count(p)] |= 1 << b
+    assert _levels(n) == want
 
 
 def test_width_is_largest_mahonian_number():
-    assert [_width(n) for n in range(1, 9)] == [1, 1, 2, 6, 22, 101, 573, 3836]
+    assert [width(n) for n in range(1, 9)] == [1, 1, 2, 6, 22, 101, 573, 3836]
 
 
 @pytest.mark.parametrize("n", range(5, 9))
 def test_antichain_above_width_fails_at_once(n):
     start = time.monotonic()
-    with pytest.raises(NoAntichainError, match=f"no antichain of size {_width(n) + 1} "):
-        sample_antichain(n, _width(n) + 1)
+    with pytest.raises(NoAntichainError, match=f"no antichain of size {width(n) + 1} "):
+        sample_antichain(n, width(n) + 1)
     assert time.monotonic() - start < 1.0
 
 
@@ -237,7 +249,7 @@ def test_largest_inversion_level_is_an_antichain(n):
     for p in all_patterns(n):
         level.setdefault(inversion_count(p), []).append(p)
     largest = max(level.values(), key=len)
-    assert len(Antichain(frozenset(largest)).patterns) == _width(n)
+    assert len(Antichain(frozenset(largest)).patterns) == width(n)
 
 
 @pytest.mark.parametrize(
@@ -245,18 +257,45 @@ def test_largest_inversion_level_is_an_antichain(n):
     [
         (12, ["012354", "012435", "014235", "042135", "051234", "132045", "140235",
               "210345", "213045", "230145", "302145", "401235"],
-         {"comparabilityMasks": 43, "branches": 4278}),
+         {"comparabilityMasks": 51, "feasibilityTests": 26, "matchings": 12}),
         (14, ["012354", "012435", "015234", "024135", "042135", "051234", "104235",
               "132045", "140235", "210345", "213045", "230145", "302145", "401235"],
-         {"comparabilityMasks": 66, "branches": 26821}),
+         {"comparabilityMasks": 79, "feasibilityTests": 29, "matchings": 13}),
+        (16, ["012354", "012435", "015234", "034125", "052134", "104235", "124035", "142035",
+              "150234", "213045", "231045", "240135", "302145", "320145", "410235", "501234"],
+         {"comparabilityMasks": 81, "feasibilityTests": 40, "matchings": 23}),
+        (18, ["012354", "012435", "025134", "043125", "052134", "105234", "134025", "142035",
+              "150234", "214035", "231045", "240135", "304125", "312045", "320145", "402135",
+              "410235", "501234"],
+         {"comparabilityMasks": 113, "feasibilityTests": 48, "matchings": 29}),
     ],
 )
 def test_antichain_n6_pinned(size, ranks, stats):
-    # Recorded from the scan on OrderPattern ascent masks that the column
-    # masks replaced; the brute-force oracle takes about 20 s at size 12.
+    # Ranks recorded from the backtracking scan that the feasibility scan
+    # replaced (size 18 took 1.3 s there); the brute-force oracle takes
+    # about 20 s at size 12.
     got = sample_antichain(6, size)
     assert ["".join(map(str, p.ranks)) for p in got.patterns] == ranks
     assert got.stats == stats
+
+
+def test_antichain_n5_width_pinned():
+    # Recorded from the backtracking scan that the feasibility scan
+    # replaced, which took 80-100 s and 119,647,752 branches at this size.
+    got = sample_antichain(5, 22)
+    assert ["".join(map(str, p.ranks)) for p in got.patterns] == [
+        "03421", "04231", "04312", "10432", "12430", "13240", "13402", "14032", "14203", "21043",
+        "21340", "21403", "23041", "23104", "24013", "30241", "30412", "31204", "32014", "40132",
+        "40213", "41023",
+    ]
+
+
+@pytest.mark.parametrize("n,size", [(5, 22), (6, 20)])
+def test_antichain_up_to_width_is_fast(n, size):
+    start = time.monotonic()
+    got = sample_antichain(n, size)
+    assert time.monotonic() - start < 2.0
+    assert len(got.patterns) == size
 
 
 def test_antichain_size_precondition():
