@@ -259,12 +259,11 @@ def sample_antichain(n: int, size: int) -> Antichain:
     NoAntichainError at once when ``size`` exceeds the poset's width
     (e.g. n <= 2, where the poset is a chain).  Whether a node set S holds
     an antichain of k nodes is decided by the first of these that
-    settles it: |S| < k; the greedy lexicographic antichain in S reaches
-    k; an inversion-count level holds k nodes of S; else, by Dilworth's
-    theorem, |S| minus a maximum matching on strict comparability inside
-    S (the width of S) is at least k.  ``stats`` counts the
-    comparability masks built, the feasibility tests and the tests that
-    needed a matching.
+    settles it: |S| < k; an inversion-count level holds k nodes of S;
+    else, by Dilworth's theorem, |S| minus a maximum matching on strict
+    comparability inside S (the width of S) is at least k.  ``stats``
+    counts the comparability masks built, the feasibility tests and the
+    tests that needed a matching.
     """
     _check_n(n)
     if size < 2:
@@ -275,28 +274,6 @@ def sample_antichain(n: int, size: int) -> Antichain:
     perms = list(permutations(range(n)))
     above_below = functools.cache(_comparability(perms))
     tests = matchings = 0
-
-    def holds(s: int, k: int) -> list[int] | None:
-        # Whether the nodes in s hold an antichain of k nodes: None if not,
-        # else the greedy antichain in s when it reaches k (the scan would
-        # keep each of its nodes in turn), else [].
-        nonlocal tests, matchings
-        tests += 1
-        if s.bit_count() < k:
-            return None
-        rest, greedy = s, []
-        while rest and len(greedy) < k:
-            low = rest & -rest
-            greedy.append(low.bit_length() - 1)
-            up, down = above_below(greedy[-1])
-            rest &= ~(up | down | low)
-        if len(greedy) == k:
-            return greedy
-        if any((s & level).bit_count() >= k for level in levels):
-            return []
-        matchings += 1
-        return None if _matching_exceeds(s, s.bit_count() - k, above_below) else []
-
     found: list[int] = []
     allowed = (1 << len(perms)) - 1  # later nodes incomparable with every kept one
     while allowed and len(found) < size:
@@ -304,13 +281,18 @@ def sample_antichain(n: int, size: int) -> Antichain:
         allowed ^= low
         node = low.bit_length() - 1
         up, down = above_below(node)
-        rest = allowed & ~(up | down)
-        tail = holds(rest, size - len(found) - 1)
-        if tail is not None:
-            found += [node, *tail]
-            allowed = rest
-    if len(found) < size:
-        raise NoAntichainError(f"no antichain of size {clip(size)} among length-{n} patterns")
+        rest, k = allowed & ~(up | down), size - len(found) - 1
+        tests += 1
+        if rest.bit_count() < k:
+            continue
+        if not any((rest & level).bit_count() >= k for level in levels):
+            matchings += 1
+            if _matching_exceeds(rest, rest.bit_count() - k, above_below):
+                continue
+        found.append(node)
+        allowed = rest
+    if len(found) < size:  # the width check passed, so the scan must reach size
+        raise ValueError(f"antichain scan kept {len(found)} of {size} nodes at n={n}")
     stats = {"comparabilityMasks": above_below.cache_info().currsize,
              "feasibilityTests": tests, "matchings": matchings}
     return Antichain(tuple(OrderPattern(perms[i]) for i in found), stats=stats)

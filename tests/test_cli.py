@@ -397,7 +397,7 @@ def test_poset_chain_json(capsys):
         ([], {"nodes": 24, "coverEdges": 36}),
         (["--chain"], {"nodes": 7, "coverEdges": 6}),
         (["--antichain", "5"],
-         {"nodes": 5, "coverEdges": 0, "comparabilityMasks": 20, "feasibilityTests": 7,
+         {"nodes": 5, "coverEdges": 0, "comparabilityMasks": 20, "feasibilityTests": 9,
           "matchings": 2}),
     ],
 )
@@ -950,8 +950,11 @@ def test_unexpected_exception_exit_6(capsys, monkeypatch):
         ("eolab.patterns.pattern_of", lambda values: OrderPattern((0, 0)),
          ["pattern", "1,2"],
          "ranks (0, 0) are not a permutation of 0..1"),
+        ("eolab.poset._matching_exceeds", lambda s, limit, above_below: False,
+         ["poset", "--n", "4", "--antichain", "5"],
+         "antichain scan kept 2 of 5 nodes at n=4"),
     ],
-    ids=["comparability", "max_chain", "pattern_of"],
+    ids=["comparability", "max_chain", "pattern_of", "antichain_shortfall"],
 )
 def test_failed_certificate_exit_6(capsys, monkeypatch, target, broken, argv, message):
     # A fast path whose answer fails its own re-check is a bug, not bad input.
