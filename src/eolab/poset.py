@@ -138,12 +138,11 @@ def max_chain(n: int) -> Chain:
     return Chain(tuple(chain))
 
 
-def _comparability(perms: list[tuple[int, ...]]):
+def _below(perms: list[tuple[int, ...]]):
     """A function giving, for node index a, the bits of the nodes strictly
-    above ``perms[a]`` and the bits of those strictly below it.  Column
-    (i, j) holds bit b iff perms[b][i] < perms[b][j], that is iff some v
-    has perms[b][i] < v <= perms[b][j]; the nodes above p ascend at every
-    ascent of p, and those below it descend at every inversion of p."""
+    below ``perms[a]``, which descend at every inversion of it and, in the
+    scan's numbering, all have lower indices.  Column (i, j) holds bit b
+    iff perms[b][i] < perms[b][j], i.e. some v has perms[b][i] < v <= perms[b][j]."""
     n = len(perms[0])
     tables = [bytes.maketrans(bytes(range(n)), b"0" * v + b"1" * (n - v)) for v in range(1, n)]
     # at_least[i][v - 1]: the nodes whose value at position i is at least v;
@@ -156,19 +155,15 @@ def _comparability(perms: list[tuple[int, ...]]):
         for at_i, at_j in zip(at_least[i], at_least[j]):
             column |= at_j & ~at_i
         columns.append((i, j, column))
-    full = (1 << len(perms)) - 1
 
-    def above_below(a: int) -> tuple[int, int]:
-        p, others = perms[a], full ^ (1 << a)
-        up, inverted = others, 0
+    def below(a: int) -> int:
+        p, ascending = perms[a], 0
         for i, j, column in columns:
-            if p[i] < p[j]:
-                up &= column
-            else:
-                inverted |= column
-        return up, others & ~inverted
+            if p[i] > p[j]:
+                ascending |= column
+        return ((1 << a) - 1) & ~ascending
 
-    return above_below
+    return below
 
 
 def _levels(n: int) -> list[int]:
@@ -188,23 +183,24 @@ def _levels(n: int) -> list[int]:
     return levels
 
 
-def _matching_exceeds(s: int, limit: int, above_below) -> bool:
+def _matching_exceeds(s: int, limit: int, below) -> bool:
     """Whether strict comparability inside the nodes ``s`` (left node u to
-    right node v for u < v) has a matching of more than ``limit`` edges.
-    A greedy pass matches each node to its least free successor; passes
-    of augmenting paths then grow the matching, each searching once from
-    every free left node, breadth first on bit masks, and sharing the
-    right nodes reached across its searches.  A pass that grows nothing
-    proves the matching maximum."""
+    right node v for v < u) has a matching of more than ``limit`` edges.
+    A greedy pass, top node first, matches each node to the highest free
+    node below it; passes of augmenting paths then grow the matching,
+    each searching once from every free left node, breadth first on bit
+    masks, and sharing the right nodes reached across its searches.  A
+    pass that grows nothing proves the matching maximum."""
     mate: dict[int, int] = {}  # left node -> right node
     taken = 0  # the matched right nodes
     free = []
-    for u in [digit.start() for digit in re.finditer("1", bin(s)[:1:-1])]:  # the nodes of s
-        end = above_below(u)[0] & s & ~taken
+    top = s.bit_length() - 1
+    for u in [top - digit.start() for digit in re.finditer("1", bin(s)[2:])]:  # s, top down
+        end = below(u) & s & ~taken
         if end:
-            end &= -end
-            taken |= end
-            mate[u] = end.bit_length() - 1
+            v = end.bit_length() - 1
+            taken |= 1 << v
+            mate[u] = v
             if len(mate) > limit:
                 return True
         else:
@@ -218,7 +214,7 @@ def _matching_exceeds(s: int, limit: int, above_below) -> bool:
         while layer:
             next_layer = []
             for x in layer:
-                reach = above_below(x)[0] & s & ~seen
+                reach = below(x) & s & ~seen
                 seen |= reach
                 end = reach & ~taken
                 if end:  # flip the path from start to a free right node
@@ -255,45 +251,46 @@ def sample_antichain(n: int, size: int) -> Antichain:
 
     One scan in lexicographic node order keeps a node exactly when the
     later allowed nodes incomparable to it still hold an antichain of the
-    remaining size, so the scan never backtracks; raises
+    remaining size, so the scan never backtracks.  Lexicographic order
+    extends the weak order, so with nodes numbered from its end each
+    strict down-set lies below the node's own bit, and the scan pops the
+    top bit and needs only that down-set; raises
     NoAntichainError at once when ``size`` exceeds the poset's width
     (e.g. n <= 2, where the poset is a chain).  Whether a node set S holds
     an antichain of k nodes is decided by the first of these that
     settles it: |S| < k; an inversion-count level holds k nodes of S;
     else, by Dilworth's theorem, |S| minus a maximum matching on strict
     comparability inside S (the width of S) is at least k.  ``stats``
-    counts the comparability masks built, the feasibility tests and the
-    tests that needed a matching.
+    counts the down-set masks built, the feasibility tests and the tests
+    that needed a matching.
     """
     _check_n(n)
     if size < 2:
         raise InputError(f"antichain size must be >= 2, got {clip(size)}")
-    levels = _levels(n)
+    levels = _levels(n)  # in the scan's numbering, level l is levels[-1 - l]
     if size > max(map(int.bit_count, levels)):
         raise NoAntichainError(f"no antichain of size {clip(size)} among length-{n} patterns")
-    perms = list(permutations(range(n)))
-    above_below = functools.cache(_comparability(perms))
+    perms = list(permutations(range(n - 1, -1, -1)))  # lexicographic order reversed
+    below = functools.cache(_below(perms))
     tests = matchings = 0
     found: list[int] = []
     allowed = (1 << len(perms)) - 1  # later nodes incomparable with every kept one
     while allowed and len(found) < size:
-        low = allowed & -allowed
-        allowed ^= low
-        node = low.bit_length() - 1
-        up, down = above_below(node)
-        rest, k = allowed & ~(up | down), size - len(found) - 1
+        node = allowed.bit_length() - 1
+        allowed ^= 1 << node
+        rest, k = allowed & ~below(node), size - len(found) - 1
         tests += 1
         if rest.bit_count() < k:
             continue
         if not any((rest & level).bit_count() >= k for level in levels):
             matchings += 1
-            if _matching_exceeds(rest, rest.bit_count() - k, above_below):
+            if _matching_exceeds(rest, rest.bit_count() - k, below):
                 continue
         found.append(node)
         allowed = rest
     if len(found) < size:  # the width check passed, so the scan must reach size
         raise ValueError(f"antichain scan kept {len(found)} of {size} nodes at n={n}")
-    stats = {"comparabilityMasks": above_below.cache_info().currsize,
+    stats = {"comparabilityMasks": below.cache_info().currsize,
              "feasibilityTests": tests, "matchings": matchings}
     return Antichain(tuple(OrderPattern(perms[i]) for i in found), stats=stats)
 

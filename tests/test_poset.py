@@ -18,7 +18,7 @@ from eolab.poset import (
     Chain,
     NoAntichainError,
     PosetRangeError,
-    _comparability,
+    _below,
     _levels,
     all_patterns,
     build_poset,
@@ -214,14 +214,29 @@ def test_antichain_matches_backtracking_oracle(n):
         assert tuple(p.ranks for p in sample_antichain(n, size).patterns) == want
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_comparability_masks_match_direct_relation(n):
-    perms = list(itertools.permutations(range(n)))
+def scan_order(n):
+    # The antichain scan's numbering: lexicographic order reversed.
+    return list(itertools.permutations(range(n - 1, -1, -1)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_below_masks_match_direct_relation(n):
+    perms = scan_order(n)
     rows = _leq_rows(perms)
-    above_below = _comparability(perms)
-    for a, row in enumerate(rows):
-        below = sum(1 << b for b, other in enumerate(rows) if other >> a & 1)
-        assert above_below(a) == (row & ~(1 << a), below & ~(1 << a))
+    below = _below(perms)
+    for a in range(len(perms)):
+        want = sum(1 << b for b, row in enumerate(rows) if row >> a & 1)
+        assert below(a) == want & ~(1 << a)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_down_sets_lie_below_own_bit(n):
+    # Lexicographic order extends the weak order, so in the scan's
+    # numbering no node is strictly below a node of lower index.
+    perms = scan_order(n)
+    below = _below(perms)
+    for a in range(len(perms)):
+        assert below(a) >> a == 0
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -230,6 +245,12 @@ def test_levels_match_inversion_counts(n):
     for b, p in enumerate(all_patterns(n)):
         want[inversion_count(p)] |= 1 << b
     assert _levels(n) == want
+    # Mapping each value v to n-1-v reverses lexicographic order and sends
+    # l inversions to n(n-1)/2 - l, so the scan's levels are these reversed.
+    reverse = [0] * len(want)
+    for b, p in enumerate(scan_order(n)):
+        reverse[inversion_count(OrderPattern(p))] |= 1 << b
+    assert reverse == want[::-1]
 
 
 def test_width_is_largest_mahonian_number():
@@ -258,17 +279,17 @@ def test_largest_inversion_level_is_an_antichain(n):
     [
         (12, ["012354", "012435", "014235", "042135", "051234", "132045", "140235",
               "210345", "213045", "230145", "302145", "401235"],
-         {"comparabilityMasks": 51, "feasibilityTests": 27, "matchings": 12}),
+         {"comparabilityMasks": 43, "feasibilityTests": 27, "matchings": 12}),
         (14, ["012354", "012435", "015234", "024135", "042135", "051234", "104235",
               "132045", "140235", "210345", "213045", "230145", "302145", "401235"],
-         {"comparabilityMasks": 79, "feasibilityTests": 30, "matchings": 13}),
+         {"comparabilityMasks": 66, "feasibilityTests": 30, "matchings": 13}),
         (16, ["012354", "012435", "015234", "034125", "052134", "104235", "124035", "142035",
               "150234", "213045", "231045", "240135", "302145", "320145", "410235", "501234"],
-         {"comparabilityMasks": 81, "feasibilityTests": 41, "matchings": 23}),
+         {"comparabilityMasks": 77, "feasibilityTests": 41, "matchings": 23}),
         (18, ["012354", "012435", "025134", "043125", "052134", "105234", "134025", "142035",
               "150234", "214035", "231045", "240135", "304125", "312045", "320145", "402135",
               "410235", "501234"],
-         {"comparabilityMasks": 113, "feasibilityTests": 50, "matchings": 29}),
+         {"comparabilityMasks": 109, "feasibilityTests": 50, "matchings": 29}),
     ],
 )
 def test_antichain_n6_pinned(size, ranks, stats):
@@ -295,9 +316,10 @@ def test_antichain_n7_pinned():
     # The brute-force oracle stops at n=6, so this hash was recorded from the
     # three-tier scan (a greedy antichain first) that this one replaced.
     # About 0.4 s.
-    text = export(sample_antichain(7, 100), "text")
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    got = sample_antichain(7, 100)
+    assert hashlib.sha256(export(got, "text").encode()).hexdigest() == (
         "6fc0109c6bdccfee80e50ffaa1688c4e4becc92261ec6430e78b4362720767bf")
+    assert got.stats == {"comparabilityMasks": 801, "feasibilityTests": 466, "matchings": 360}
 
 
 @pytest.mark.parametrize("n,size", [(5, 22), (6, 20)])
