@@ -271,8 +271,7 @@ def _cmd_search(args) -> tuple[int, str]:
         max_nodes=args.max_nodes,
         round_cap=args.round_cap,
     )
-    find = search.search_eo_witness if args.relation == "eo" else search.search_uniform_witness
-    report = find(prog_a, prog_b, budget)
+    report = search.witness(prog_a, prog_b, budget, "eo_leq" if args.relation == "eo" else "uniform")
     if args.stats:
         sys.stderr.write(_dump_json(report.stats))
     doc = report.to_json()

@@ -301,8 +301,8 @@ def _mul(left, right, source: str) -> Callable[[int], int]:
 
 # A difference is at most its minuend and a remainder at most its dividend
 # and below its divisor; of all the operands, only ``i`` itself can exceed
-# 64 bits unchecked.  So a literal minus anything, and any remainder, need
-# no overflow check.
+# 64 bits unchecked.  So a literal minus anything, a computed operand other
+# than ``i`` minus a literal, and any remainder, need no overflow check.
 
 
 def _sub(left, right, source: str) -> Callable[[int], int]:
@@ -323,11 +323,7 @@ def _sub(left, right, source: str) -> Callable[[int], int]:
     elif type(right) is int:
         def sub(i):
             a = left(i)
-            if a <= right:
-                return 0
-            if a - right > MAX_VALUE:
-                raise CheckedOverflowError(_OVERFLOW, source, i)
-            return a - right
+            return a - right if a > right else 0
     else:
         def sub(i):
             a = left(i)

@@ -616,6 +616,8 @@ def recursive_witness_search(
     matches the search's field for field, ``nodes_explored`` included.
     Recursion 2k deep, so keep k well below the recursion limit.
     """
+    if relation not in ("eo_leq", "uniform"):
+        raise InputError(f"unknown relation {clip(repr(relation))}")
     trace_a, trace_b = native_traces(prog_a, prog_b, budget.k, budget.round_cap)
     searcher = _Searcher(trace_a.emitted, trace_b.emitted, budget, relation)
     found, budget_hit = searcher.run()

@@ -138,12 +138,13 @@ def max_chain(n: int) -> Chain:
     return Chain(tuple(chain))
 
 
-def _below(perms: list[tuple[int, ...]]):
-    """A function giving, for node index a, the bits of the nodes strictly
-    below ``perms[a]``, which descend at every inversion of it and, in the
-    scan's numbering, all have lower indices.  Column (i, j) holds bit b
-    iff perms[b][i] < perms[b][j], i.e. some v has perms[b][i] < v <= perms[b][j]."""
-    n = len(perms[0])
+@functools.lru_cache(maxsize=8)
+def _below(n: int):
+    """The scan's nodes, the length-n patterns in reverse lexicographic order,
+    and for node index a the bits of the nodes strictly below ``perms[a]``: they
+    descend at every inversion of it and have lower indices.  Column (i, j) holds
+    bit b iff perms[b][i] < perms[b][j], i.e. some v has perms[b][i] < v <= perms[b][j]."""
+    perms = tuple(permutations(range(n - 1, -1, -1)))
     tables = [bytes.maketrans(bytes(range(n)), b"0" * v + b"1" * (n - v)) for v in range(1, n)]
     # at_least[i][v - 1]: the nodes whose value at position i is at least v;
     # int(..., 2) reads the last node's bit first.
@@ -163,7 +164,7 @@ def _below(perms: list[tuple[int, ...]]):
                 ascending |= column
         return ((1 << a) - 1) & ~ascending
 
-    return below
+    return perms, below
 
 
 def _levels(n: int) -> list[int]:
@@ -270,8 +271,8 @@ def sample_antichain(n: int, size: int) -> Antichain:
     levels = _levels(n)  # in the scan's numbering, level l is levels[-1 - l]
     if size > max(map(int.bit_count, levels)):
         raise NoAntichainError(f"no antichain of size {clip(size)} among length-{n} patterns")
-    perms = list(permutations(range(n - 1, -1, -1)))  # lexicographic order reversed
-    below = functools.cache(_below(perms))
+    perms, below = _below(n)
+    below = functools.cache(below)  # per call, so that stats count this scan's masks
     tests = matchings = 0
     found: list[int] = []
     allowed = (1 << len(perms)) - 1  # later nodes incomparable with every kept one

@@ -7,6 +7,8 @@ explicit reordering of each program's native enumeration, compared on
 k-element prefixes.  Within that family the search is complete — it
 either produces a replayable witness, refutes the whole (k, w) space, or
 runs out of node budget, and the three outcomes are never conflated.
+``witness(prog_a, prog_b, budget, relation)`` runs it for either
+relation: "eo_leq", or "uniform", which strengthens it to equal patterns.
 
 The search explores the joint choice vector, A's k choices and then B's
 k choices, each tried in increasing order, so the first witness found is
@@ -353,16 +355,20 @@ def _ranks(picks: list[int], limits: list[int]) -> tuple[int, ...]:
     return tuple(choices)
 
 
-def _search(
+def witness(
     prog_a: EnumeratorProgram,
     prog_b: EnumeratorProgram,
     budget: SearchBudget,
     relation: str,
 ) -> WitnessReport:
+    """Search the (k, w) strategy space for listings whose patterns are
+    related: ``relation`` is "eo_leq", or "uniform" for pattern equality."""
+    if relation not in ("eo_leq", "uniform"):
+        raise InputError(f"unknown relation {clip(repr(relation))}")
     trace_a, trace_b = native_traces(prog_a, prog_b, budget.k, budget.round_cap)
     stats: dict = {}
     status, nodes, found = _walk(trace_a.emitted, trace_b.emitted, budget, relation, stats=stats)
-    witness = {}
+    fields = {}
     if found is not None:
         # Replay through the scheduler and re-check through the pattern
         # relations, so every emitted witness is certificate-sound.
@@ -375,7 +381,7 @@ def _search(
         holds = eo_leq(pat_a, pat_b) if relation == "eo_leq" else uniform(pat_a, pat_b)
         if not holds:
             raise AssertionError("witness failed replay validation")
-        witness = dict(
+        fields = dict(
             choices_a=choices_a,
             choices_b=choices_b,
             prefix_a=prefix_a,
@@ -383,18 +389,4 @@ def _search(
             pattern_a=pat_a,
             pattern_b=pat_b,
         )
-    return WitnessReport(status, relation, budget.k, budget.window, nodes, **witness, stats=stats)
-
-
-def search_eo_witness(
-    prog_a: EnumeratorProgram, prog_b: EnumeratorProgram, budget: SearchBudget
-) -> WitnessReport:
-    """Search the (k, w) strategy space for listings with related patterns."""
-    return _search(prog_a, prog_b, budget, "eo_leq")
-
-
-def search_uniform_witness(
-    prog_a: EnumeratorProgram, prog_b: EnumeratorProgram, budget: SearchBudget
-) -> WitnessReport:
-    """Same search with the constraint strengthened to pattern equality."""
-    return _search(prog_a, prog_b, budget, "uniform")
+    return WitnessReport(status, relation, budget.k, budget.window, nodes, **fields, stats=stats)

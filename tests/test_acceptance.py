@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from eolab.oracle import brute_force_witness, check_hasse
 from eolab.patterns import OrderPattern, eo_leq, pattern_of, uniform
 from eolab.poset import all_patterns, build_poset, max_chain, sample_antichain
-from eolab.search import SearchBudget, search_eo_witness, search_uniform_witness
+from eolab.search import SearchBudget, witness
 from eolab.vm import Scheduler, dovetail, schedule
 
 from conftest import FIXTURES, PROGRAMS, PAIR_NAMES, load_program, program_pairs
@@ -272,8 +272,8 @@ def test_search_k10_w3_exhausts_quickly():
     evens, countdown = load_program("evens"), load_program("countdown")
     budget = SearchBudget(k=10, window=3, max_nodes=1_000_000)
     start = time.monotonic()
-    eo = search_eo_witness(evens, countdown, budget)
-    uni = search_uniform_witness(evens, countdown, budget)
+    eo = witness(evens, countdown, budget, "eo_leq")
+    uni = witness(evens, countdown, budget, "uniform")
     elapsed = time.monotonic() - start
     assert (eo.status, eo.nodes_explored) == ("space_exhausted", 668_532)
     assert (uni.status, uni.nodes_explored) == ("space_exhausted", 537_636)
@@ -314,11 +314,10 @@ def test_criterion_11_search_agreement_with_oracle():
         pairs = program_pairs()
         assert len(pairs) >= 6
         for (prog_a, prog_b), relation in itertools.product(pairs, ("eo_leq", "uniform")):
-            search = search_eo_witness if relation == "eo_leq" else search_uniform_witness
             relate = eo_leq if relation == "eo_leq" else uniform
             for k, w in itertools.product(range(1, 7), range(1, 4)):
                 budget = SearchBudget(k=k, window=w, max_nodes=200_000)
-                pruned = search(prog_a, prog_b, budget)
+                pruned = witness(prog_a, prog_b, budget, relation)
                 brute = brute_force_witness(prog_a, prog_b, k, w, relation)
                 assert pruned.status == brute.status, (prog_a.name, prog_b.name, relation, k, w)
                 if pruned.status != "witness_found":
@@ -340,6 +339,6 @@ def test_criterion_12_trivial_witness_guarantee():
         assert len(PAIR_NAMES) >= 6
         for prog_a, prog_b in program_pairs():
             for k, w in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]:
-                for search in (search_eo_witness, search_uniform_witness):
-                    report = search(prog_a, prog_b, SearchBudget(k=k, window=w))
+                for relation in ("eo_leq", "uniform"):
+                    report = witness(prog_a, prog_b, SearchBudget(k=k, window=w), relation)
                     assert report.status == "witness_found", (prog_a.name, prog_b.name, k, w)

@@ -29,7 +29,7 @@ from eolab.errors import (
 from eolab.expressions import MAX_LENGTH
 from eolab.oracle import brute_force_pair_sets
 from eolab.patterns import MAX_ELEMENT, OrderPattern, pattern_of
-from eolab.poset import Chain
+from eolab.poset import Chain, _below
 from eolab.search import MAX_NODES
 
 from conftest import PROGRAMS
@@ -941,7 +941,7 @@ def test_unexpected_exception_exit_6(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "target,broken,argv,message",
     [
-        ("eolab.poset._below", lambda perms: lambda a: 0,
+        ("eolab.poset._below", lambda n: (_below(n)[0], lambda a: 0),
          ["poset", "--n", "4", "--antichain", "3"],
          "patterns (0, 1, 2, 3) and (0, 1, 3, 2) are comparable"),
         ("eolab.poset.max_chain", lambda n: Chain((OrderPattern((0, 2, 1)), OrderPattern((1, 0, 2)))),

@@ -221,9 +221,9 @@ def scan_order(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_below_masks_match_direct_relation(n):
-    perms = scan_order(n)
+    perms, below = _below(n)
+    assert list(perms) == scan_order(n)
     rows = _leq_rows(perms)
-    below = _below(perms)
     for a in range(len(perms)):
         want = sum(1 << b for b, row in enumerate(rows) if row >> a & 1)
         assert below(a) == want & ~(1 << a)
@@ -233,8 +233,7 @@ def test_below_masks_match_direct_relation(n):
 def test_down_sets_lie_below_own_bit(n):
     # Lexicographic order extends the weak order, so in the scan's
     # numbering no node is strictly below a node of lower index.
-    perms = scan_order(n)
-    below = _below(perms)
+    perms, below = _below(n)
     for a in range(len(perms)):
         assert below(a) >> a == 0
 

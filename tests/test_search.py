@@ -7,6 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eolab.errors import InputError
 from eolab.oracle import _Searcher, recursive_witness_search
 from eolab.patterns import eo_leq, pattern_of, uniform
 from eolab.search import (
@@ -14,8 +15,7 @@ from eolab.search import (
     InsufficientEnumerationError,
     SearchBudget,
     _walk,
-    search_eo_witness,
-    search_uniform_witness,
+    witness,
 )
 from eolab.vm import Scheduler, parse_program, schedule
 
@@ -29,35 +29,33 @@ def budget(k, w, max_nodes=200_000, round_cap=1_000):
 # --- trivial and forced outcomes ------------------------------------------
 
 
-@pytest.mark.parametrize("search", [search_eo_witness, search_uniform_witness])
-def test_identical_programs_native_witness(search):
+@pytest.mark.parametrize("relation", ["eo_leq", "uniform"])
+def test_identical_programs_native_witness(relation):
     evens = load_program("evens")
-    report = search(evens, evens, budget(k=4, w=2))
+    report = witness(evens, evens, budget(k=4, w=2), relation)
     assert report.status == "witness_found"
     assert report.choices_a == (0, 0, 0, 0)
     assert report.choices_b == (0, 0, 0, 0)
 
 
-@pytest.mark.parametrize("search", [search_eo_witness, search_uniform_witness])
+@pytest.mark.parametrize("relation", ["eo_leq", "uniform"])
 @pytest.mark.parametrize("pair", program_pairs(), ids=lambda p: p[0].name + "-" + p[1].name)
-def test_window_at_least_k_always_finds_witness(search, pair):
-    report = search(pair[0], pair[1], budget(k=3, w=3))
+def test_window_at_least_k_always_finds_witness(relation, pair):
+    report = witness(pair[0], pair[1], budget(k=3, w=3), relation)
     assert report.status == "witness_found"
 
 
 def test_window_one_forced_refutation():
     evens = load_program("evens")
     alternating = load_program("alternating")
-    report = search_eo_witness(evens, alternating, budget(k=2, w=1))
+    report = witness(evens, alternating, budget(k=2, w=1), "eo_leq")
     assert report.status == "space_exhausted"
     # ...but the reversed direction succeeds natively.
-    assert search_eo_witness(alternating, evens, budget(k=2, w=1)).status == "witness_found"
+    assert witness(alternating, evens, budget(k=2, w=1), "eo_leq").status == "witness_found"
 
 
 def test_window_one_uniform_refutation():
-    report = search_uniform_witness(
-        load_program("evens"), load_program("alternating"), budget(k=2, w=1)
-    )
+    report = witness(load_program("evens"), load_program("alternating"), budget(k=2, w=1), "uniform")
     assert report.status == "space_exhausted"
 
 
@@ -67,7 +65,7 @@ def test_window_one_uniform_refutation():
 def test_budget_exceeded_is_distinct():
     evens = load_program("evens")
     alternating = load_program("alternating")
-    report = search_eo_witness(evens, alternating, budget(k=4, w=2, max_nodes=3))
+    report = witness(evens, alternating, budget(k=4, w=2, max_nodes=3), "eo_leq")
     assert report.status == "budget_exceeded"
     assert report.nodes_explored == 3
     assert report.choices_a is None
@@ -76,8 +74,15 @@ def test_budget_exceeded_is_distinct():
 def test_insufficient_enumeration_raises():
     guarded = load_program("evens_only")
     with pytest.raises(InsufficientEnumerationError) as exc:
-        search_eo_witness(guarded, guarded, budget(k=10, w=2, round_cap=5))
+        witness(guarded, guarded, budget(k=10, w=2, round_cap=5), "eo_leq")
     assert "evens_only" in str(exc.value)
+
+
+@pytest.mark.parametrize("search", [witness, recursive_witness_search])
+def test_unknown_relation_rejected(search):
+    evens = load_program("evens")
+    with pytest.raises(InputError, match="unknown relation 'eo'"):
+        search(evens, evens, budget(k=2, w=1), "eo")
 
 
 def test_budget_validation():
@@ -96,11 +101,8 @@ def test_budget_validation():
 @pytest.mark.parametrize("k,w", [(2, 2), (3, 2), (4, 3)])
 def test_witness_replays_through_scheduler(pair, k, w):
     prog_a, prog_b = pair
-    for search, check in (
-        (search_eo_witness, eo_leq),
-        (search_uniform_witness, uniform),
-    ):
-        report = search(prog_a, prog_b, budget(k=k, w=w))
+    for relation, check in (("eo_leq", eo_leq), ("uniform", uniform)):
+        report = witness(prog_a, prog_b, budget(k=k, w=w), relation)
         if report.status != "witness_found":
             continue
         sched_a = Scheduler("explicit", window=w, choices=report.choices_a)
@@ -124,8 +126,8 @@ def test_window_monotonicity(pair):
     prog_a, prog_b = pair
     for k in (2, 3):
         for w in (1, 2):
-            found_small = search_eo_witness(prog_a, prog_b, budget(k=k, w=w)).status
-            found_big = search_eo_witness(prog_a, prog_b, budget(k=k, w=w + 1)).status
+            found_small = witness(prog_a, prog_b, budget(k=k, w=w), "eo_leq").status
+            found_big = witness(prog_a, prog_b, budget(k=k, w=w + 1), "eo_leq").status
             if found_small == "witness_found":
                 assert found_big == "witness_found"
 
@@ -134,23 +136,20 @@ def test_window_monotonicity(pair):
 def test_uniform_witness_implies_eo_witness(pair):
     prog_a, prog_b = pair
     for k, w in itertools.product((2, 3), (1, 2)):
-        if search_uniform_witness(prog_a, prog_b, budget(k=k, w=w)).status == "witness_found":
-            assert (
-                search_eo_witness(prog_a, prog_b, budget(k=k, w=w)).status
-                == "witness_found"
-            )
+        if witness(prog_a, prog_b, budget(k=k, w=w), "uniform").status == "witness_found":
+            assert witness(prog_a, prog_b, budget(k=k, w=w), "eo_leq").status == "witness_found"
 
 
 def test_determinism_including_node_counts():
     prog_a, prog_b = load_program("jumpy"), load_program("countdown")
-    first = search_eo_witness(prog_a, prog_b, budget(k=4, w=2))
-    second = search_eo_witness(prog_a, prog_b, budget(k=4, w=2))
+    first = witness(prog_a, prog_b, budget(k=4, w=2), "eo_leq")
+    second = witness(prog_a, prog_b, budget(k=4, w=2), "eo_leq")
     assert first == second
 
 
 def test_report_json_keys():
     evens = load_program("evens")
-    doc = search_eo_witness(evens, evens, budget(k=2, w=1)).to_json()
+    doc = witness(evens, evens, budget(k=2, w=1), "eo_leq").to_json()
     assert set(doc) == {
         "status",
         "relation",
@@ -178,9 +177,8 @@ def test_search_agrees_with_brute_force_small(pair, relation):
     from eolab.oracle import brute_force_witness
 
     prog_a, prog_b = pair
-    search = search_eo_witness if relation == "eo_leq" else search_uniform_witness
     for k, w in itertools.product((1, 2, 3, 4), (1, 2, 3)):
-        pruned = search(prog_a, prog_b, budget(k=k, w=w))
+        pruned = witness(prog_a, prog_b, budget(k=k, w=w), relation)
         brute = brute_force_witness(prog_a, prog_b, k, w, relation)
         assert pruned.status == brute.status, (k, w)
         if pruned.status == "witness_found":
@@ -199,10 +197,9 @@ def test_search_report_matches_recursive_reference(pair, relation):
     # Whole reports: status, choices, prefixes and nodesExplored, including
     # where the budget cuts the walk off.
     prog_a, prog_b = pair
-    search = search_eo_witness if relation == "eo_leq" else search_uniform_witness
     for k, w, max_nodes in itertools.product(range(1, 9), range(1, 5), (1, 7, 50, 200_000)):
         b = budget(k=k, w=w, max_nodes=max_nodes)
-        assert search(prog_a, prog_b, b) == recursive_witness_search(
+        assert witness(prog_a, prog_b, b, relation) == recursive_witness_search(
             prog_a, prog_b, b, relation
         ), (k, w, max_nodes)
 
@@ -252,11 +249,10 @@ def test_budget_cut_points_match_recursive_reference(k, w, relation):
     # walk or a subtree counted in closed form; N - 1, N and N + 1 cut it
     # at its end.
     evens, countdown = load_program("evens"), load_program("countdown")
-    search = search_eo_witness if relation == "eo_leq" else search_uniform_witness
-    n = search(evens, countdown, budget(k=k, w=w, max_nodes=10**7)).nodes_explored
+    n = witness(evens, countdown, budget(k=k, w=w, max_nodes=10**7), relation).nodes_explored
     for max_nodes in (*range(1, 201), n - 1, n, n + 1):
         b = budget(k=k, w=w, max_nodes=max_nodes)
-        assert search(evens, countdown, b) == recursive_witness_search(
+        assert witness(evens, countdown, b, relation) == recursive_witness_search(
             evens, countdown, b, relation
         ), max_nodes
 
@@ -280,7 +276,7 @@ WALK_COUNTERS = {
 def test_walk_counters_are_pinned(k, w):
     evens, countdown = load_program("evens"), load_program("countdown")
     keys = ("aNodes", "bTests", "frontierHits", "closedFormSubtrees", "nodesExplored")
-    for search, counters in zip((search_eo_witness, search_uniform_witness), WALK_COUNTERS[k, w]):
-        report = search(evens, countdown, budget(k=k, w=w, max_nodes=1_500_000))
+    for relation, counters in zip(("eo_leq", "uniform"), WALK_COUNTERS[k, w]):
+        report = witness(evens, countdown, budget(k=k, w=w, max_nodes=1_500_000), relation)
         assert report.stats == dict(zip(keys, counters)), (k, w, report.relation)
         assert report.nodes_explored == report.stats["nodesExplored"]

@@ -237,6 +237,8 @@ def _in_place_examples(test):
 @example(parse_arith("i * i"), 2**32 - 1)
 @example(parse_arith("i * i"), 2**32)
 @example(parse_arith("i - 1"), 2**64 + 1)
+@example(parse_arith("i*10000000000000000000 + i*10000000000000000000"), 1)  # two computed addends
+@example(parse_arith("i - (i mod 2)"), 2**65)  # a bare i minus a computed operand
 @example(parse_arith("(i mod 0) + (i * i * i)"), 2**33)  # both operands raise
 @example(parse_arith("(i * i * i) + (i mod 0)"), 2**33)
 @example(parse_arith("(i * i * i) - (i mod 0)"), 2**33)
