@@ -167,7 +167,8 @@ def _below(n: int):
     return perms, below
 
 
-def _levels(n: int) -> list[int]:
+@functools.lru_cache(maxsize=8)
+def _levels(n: int) -> tuple[int, ...]:
     """The inversion-count levels of the length-n patterns as node bit
     masks, level l at index l.  Each level is an antichain, and the weak
     order is Sperner (Gaetz & Gao), so the largest level gives the width.
@@ -181,7 +182,7 @@ def _levels(n: int) -> list[int]:
             for l, level in enumerate(levels):
                 longer[l + c] |= level << c * block
         levels, block = longer, block * i
-    return levels
+    return tuple(levels)
 
 
 def _matching_exceeds(s: int, limit: int, below) -> bool:

@@ -307,6 +307,26 @@ def test_cmp_incomparable(capsys):
     assert "verdict: incomparable" in out
 
 
+_CMP_SCOPE = "scope: finite-prefix verdict: necessary but not sufficient for the relation on infinite listings\n"
+
+
+@pytest.mark.parametrize("left, right, lines", [
+    ("0,2,1", "1,0,2", ["left pattern: 0,2,1", "right pattern: 1,0,2",
+                        "left ≤eo right: false (least violation (0,1))",
+                        "right ≤eo left: false (least violation (1,2))", "verdict: incomparable"]),
+    ("1,2", "2,1", ["left pattern: 0,1", "right pattern: 1,0",
+                    "left ≤eo right: false (least violation (0,1))", "right ≤eo left: true",
+                    "verdict: right ≤eo left only"]),
+    ("2,1", "1,2", ["left pattern: 1,0", "right pattern: 0,1", "left ≤eo right: true",
+                    "right ≤eo left: false (least violation (0,1))", "verdict: left ≤eo right only"]),
+    ("3,1,4", "30,10,40", ["left pattern: 1,0,2", "right pattern: 1,0,2", "left ≤eo right: true",
+                           "right ≤eo left: true", "verdict: equivalent (uniform)"]),
+])
+def test_cmp_text_exact(capsys, left, right, lines):
+    assert invoke(capsys, "cmp", "--left", left, "--right", right) == (
+        0, "".join(line + "\n" for line in lines) + _CMP_SCOPE, "")
+
+
 def test_cmp_length_mismatch_exit_2(capsys):
     code, _, err = invoke(capsys, "cmp", "--left", "1,2", "--right", "1,2,3")
     assert code == 2
@@ -801,6 +821,11 @@ def test_check_preorder_over_cap_exit_2(capsys):
     code, _, err = invoke(capsys, "check", "--suite", "preorder", "--n", "6")
     assert code == 2
     assert "caps at n=5" in err
+
+
+def test_check_text_exact(capsys):
+    assert invoke(capsys, "check", "--suite", "theorem3", "--n", "3", "--support", "5,1,9") == (
+        0, "suite: theorem3\nparams: n=3 support=[1, 5, 9]\nchecked: 6\nfailures: 0\n", "")
 
 
 def test_check_theorem3_with_support(capsys):

@@ -243,7 +243,7 @@ def test_levels_match_inversion_counts(n):
     want = [0] * (n * (n - 1) // 2 + 1)
     for b, p in enumerate(all_patterns(n)):
         want[inversion_count(p)] |= 1 << b
-    assert _levels(n) == want
+    assert list(_levels(n)) == want
     # Mapping each value v to n-1-v reverses lexicographic order and sends
     # l inversions to n(n-1)/2 - l, so the scan's levels are these reversed.
     reverse = [0] * len(want)
