@@ -131,7 +131,7 @@ def check_preorder_laws(n: int) -> OracleReport:
     p's.  ``checked`` counts the cases decided, m + m**3 + m**2 for
     m = n!, not loop iterations.  Cap n <= 5.
     """
-    _require(1 <= n <= 5, f"preorder suite caps at n=5, got {clip(n)}")
+    _require(1 <= n <= 5, f"preorder suite takes n in 1..5, got {clip(n)}")
     perms = list(itertools.permutations(range(n)))
     m = len(perms)
     rows = _leq_rows(perms)
@@ -164,7 +164,7 @@ def check_inversion_equiv(n: int) -> OracleReport:
     compared with its row of fast-path verdicts; the failures are the
     bits where they differ.  Cap n <= 6 (518,400 ordered pairs).
     """
-    _require(1 <= n <= 6, f"inversion suite caps at n=6, got {clip(n)}")
+    _require(1 <= n <= 6, f"inversion suite takes n in 1..6, got {clip(n)}")
     perms = list(itertools.permutations(range(n)))
     objects = [fast.OrderPattern(p) for p in perms]
     failures = []
@@ -187,7 +187,7 @@ def check_theorem10(n: int) -> OracleReport:
     which must be p's own bit alone.  Only a row that is not gets its
     pairs walked, to report them.  Cap n <= 6.
     """
-    _require(1 <= n <= 6, f"theorem10 suite caps at n=6, got {clip(n)}")
+    _require(1 <= n <= 6, f"theorem10 suite takes n in 1..6, got {clip(n)}")
     perms = list(itertools.permutations(range(n)))
     m = len(perms)
     objects = [fast.OrderPattern(p) for p in perms]
@@ -219,7 +219,7 @@ def check_theorem3_finite(n: int, support: Iterable[int]) -> OracleReport:
     checked as a ``ListingPrefix``, so a repeated or out-of-range value
     raises at its position in the support.  Cap n <= 6.
     """
-    _require(1 <= n <= 6, f"theorem3 suite caps at n=6, got {clip(n)}")
+    _require(1 <= n <= 6, f"theorem3 suite takes n in 1..6, got {clip(n)}")
     prefix = fast.ListingPrefix(tuple(support))
     support_values = sorted(prefix.elements)
     _require(
@@ -245,7 +245,7 @@ def check_hasse(n: int) -> OracleReport:
     must equal (n-1) * n! / 2.  ``checked`` counts the ordered pairs
     decided plus the count check.  Cap n <= 5.
     """
-    _require(1 <= n <= 5, f"hasse suite caps at n=5, got {clip(n)}")
+    _require(1 <= n <= 5, f"hasse suite takes n in 1..5, got {clip(n)}")
     perms = list(itertools.permutations(range(n)))
     m = len(perms)
     strict = [row & ~(1 << a) for a, row in enumerate(_leq_rows(perms))]
@@ -283,7 +283,7 @@ def brute_force_antichain(n: int, size: int) -> tuple[tuple[int, ...], ...]:
     by plain backtracking over the direct loop; ranks in lexicographic
     order, or NoAntichainError.  Cap n <= 6.
     """
-    _require(1 <= n <= 6, f"antichain brute force caps at n=6, got {clip(n)}")
+    _require(1 <= n <= 6, f"antichain brute force takes n in 1..6, got {clip(n)}")
     perms = list(itertools.permutations(range(n)))
 
     def extend(start: int, chosen: tuple) -> tuple | None:
@@ -488,8 +488,8 @@ def brute_force_witness(
 
     Caps k <= 6 and w <= 3 keep the joint space at or below 3**12.
     """
-    _require(1 <= k <= 6, f"brute force caps at k=6, got {clip(k)}")
-    _require(1 <= w <= 3, f"brute force caps at w=3, got {clip(w)}")
+    _require(1 <= k <= 6, f"brute force takes k in 1..6, got {clip(k)}")
+    _require(1 <= w <= 3, f"brute force takes w in 1..3, got {clip(w)}")
     if relation not in ("eo_leq", "uniform"):
         raise InputError(f"unknown relation {clip(repr(relation))}")
 

@@ -236,8 +236,9 @@ def _matching_exceeds(s: int, limit: int, below) -> bool:
             layer = next_layer
         return False
 
+    # Any growth past limit has returned True already, so no size test here.
     grown = True
-    while grown and len(mate) <= limit:
+    while grown:
         grown, seen = False, 0
         for u in free:
             if augment(u):
@@ -245,7 +246,7 @@ def _matching_exceeds(s: int, limit: int, below) -> bool:
                 if len(mate) > limit:
                     return True
         free = [u for u in free if u not in mate]
-    return len(mate) > limit
+    return False
 
 
 def sample_antichain(n: int, size: int) -> Antichain:

@@ -45,8 +45,8 @@ B once per complete A prefix.  It rests on these facts:
   each prefix before the parent in its frontier, plus its own rank, plus
   one.  So a fill always knows the literal count, and stops at the leaf
   that decides the search: at the witness, with its exact count and B's
-  choices read up the parent chain, or before the test that would pass
-  max_nodes.
+  values read up the parent chain, ranked as A's picks are, or before the
+  test that would pass max_nodes.
 - Each B prefix kept comes from one B test of a fill.  A fill tests only
   what the literal walk of its own leaf tests within max_nodes, and no two
   fills share a leaf, so the fills test, and the frontiers hold, at most
@@ -149,19 +149,17 @@ def _walk(
     native_b: tuple[int, ...],
     budget: SearchBudget,
     relation: str,
-    *,
-    stats: dict | None = None,
-) -> tuple[str, int, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+) -> tuple[str, int, tuple[tuple[int, ...], tuple[int, ...]] | None, dict]:
     """Depth-first walk over A's choice trie, carrying B's frontier.
 
     Returns the status, the nodes the joint walk explores (A's candidates
-    and, for every complete A prefix, B's) and, with a witness, A's and
-    B's choices.  A dict passed as ``stats`` receives the counters:
-    ``nodesExplored``; ``bTests``, the B candidates tested while filling
-    frontiers, at most max_nodes; ``frontierHits``, the frontier levels
-    read from the interned ones; ``aNodes``, the A nodes placed one by
-    one; and ``closedFormSubtrees``, the A subtrees (single leaves
-    included) counted in closed form.
+    and, for every complete A prefix, B's), A's and B's choices with a
+    witness or None, and the counters: ``aNodes``, the A nodes placed one
+    by one; ``bTests``, the B candidates tested while filling frontiers,
+    at most max_nodes; ``frontierHits``, the frontier levels read from the
+    interned ones; and ``closedFormSubtrees``, the A subtrees (single
+    leaves included) counted in closed form.  B's native values must be
+    distinct, as ``dovetail``'s are: a witness maps them back to indices.
     """
     k, max_nodes = budget.k, budget.max_nodes
     limits = [min(t + budget.window, k) for t in range(k)]
@@ -280,7 +278,12 @@ def _walk(
                         i = nxt[u]
                         continue
                     if u + 1 == k:  # one candidate left, and it completes a witness
-                        choices = _ranks(pick, limits), _chain_ranks(e)
+                        values = [y]  # B's values, last first, up the parent chain
+                        while e[2] is not None:
+                            values.append(e[1])
+                            e = e[2]
+                        index = {x: j for j, x in enumerate(native_b)}
+                        choices = _ranks(pick, limits), _ranks([index[x] for x in reversed(values)], limits)
                         return "witness_found", max_nodes - room + base + spent, choices
                     kids = frontiers[u + 1]
                     e = (buf[:i] + buf[i + 1 :] + incoming[u], y, e, e[3] + at[u] * widths[u] + i + 1)
@@ -299,11 +302,6 @@ def _walk(
         finally:
             tally["bTests"] += spent
 
-    def finish(status, nodes, found=None):
-        if stats is not None:
-            stats.update(tally, nodesExplored=nodes)
-        return status, nodes, found
-
     count, d = 0, 0
     while d >= 0:
         j = pick[d]
@@ -315,34 +313,23 @@ def _walk(
             d -= 1
             continue
         if count == max_nodes:
-            return finish("budget_exceeded", count)
+            return "budget_exceeded", count, None, tally
         count += 1
         pick[d], used[j], value[d] = j, 1, native_a[j]
         s = fill(d, max_nodes - count - (k - d - 1))
         if isinstance(s, tuple):  # the first leaf below decides the search
             tally["aNodes"] += k - d
-            return finish(*s)
+            return (*s, tally)
         # The path's A nodes down to depth s, then s's subtree, every
         # leaf of which spends partial[s] B nodes and finds nothing.
         added = s - d - 1 + below[s] + leaves[s] * partial[s]
         if count + added > max_nodes:
-            return finish("budget_exceeded", max_nodes)
+            return "budget_exceeded", max_nodes, None, tally
         count += added
         tally["aNodes"] += s - d
         tally["closedFormSubtrees"] += 1
         d = s - 1
-    return finish("space_exhausted", count)
-
-
-def _chain_ranks(last: tuple) -> tuple[int, ...]:
-    # B's choices for a witness completed below the frontier element
-    # ``last``: each element's rank in its parent's buffer, then 0, the
-    # last output's only candidate.
-    choices = [0]
-    while last[2] is not None:
-        choices.append(last[2][0].index(last[1]))
-        last = last[2]
-    return tuple(reversed(choices))
+    return "space_exhausted", count, None, tally
 
 
 def _ranks(picks: list[int], limits: list[int]) -> tuple[int, ...]:
@@ -366,8 +353,8 @@ def witness(
     if relation not in ("eo_leq", "uniform"):
         raise InputError(f"unknown relation {clip(repr(relation))}")
     trace_a, trace_b = native_traces(prog_a, prog_b, budget.k, budget.round_cap)
-    stats: dict = {}
-    status, nodes, found = _walk(trace_a.emitted, trace_b.emitted, budget, relation, stats=stats)
+    status, nodes, found, stats = _walk(trace_a.emitted, trace_b.emitted, budget, relation)
+    stats["nodesExplored"] = nodes
     fields = {}
     if found is not None:
         # Replay through the scheduler and re-check through the pattern

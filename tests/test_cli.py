@@ -818,9 +818,10 @@ def test_check_theorem10_n4(capsys):
 
 
 def test_check_preorder_over_cap_exit_2(capsys):
-    code, _, err = invoke(capsys, "check", "--suite", "preorder", "--n", "6")
-    assert code == 2
-    assert "caps at n=5" in err
+    # Either side of the range: the message names the range, not a cap.
+    for n in (6, 0):
+        assert invoke(capsys, "check", "--suite", "preorder", "--n", str(n)) == (
+            2, "", f"error: preorder suite takes n in 1..5, got {n}\n")
 
 
 def test_check_text_exact(capsys):
@@ -1014,8 +1015,8 @@ def test_witness_replay_check_survives_optimize():
         "from eolab import cli, search\n"
         "walk = search._walk\n"
         "def broken(*args, **kwargs):\n"
-        "    status, nodes, (choices_a, choices_b) = walk(*args, **kwargs)\n"
-        "    return status, nodes, (choices_a, (0,) * len(choices_b))\n"
+        "    status, nodes, (choices_a, choices_b), counters = walk(*args, **kwargs)\n"
+        "    return status, nodes, (choices_a, (0,) * len(choices_b)), counters\n"
         "search._walk = broken\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
