@@ -9,6 +9,9 @@ evaluate the relation once per ordered pair with the direct loop, keep
 the verdicts as bit rows (row p holds bit q iff p <= q), and read the
 laws off the rows; a report's ``checked`` counts cases decided, not loop
 iterations.  The literal loops walk one index-pair table per length.
+The witness search has two references: ``brute_force_witness`` scans
+the joint choice space unpruned, and ``_literal_walk`` walks it depth
+first, one node per candidate tried, as the search counts them.
 
 Suites are exhaustive, so each has a hard size cap stated in its
 precondition and enforced with an error; silent truncation would make a
@@ -519,90 +522,46 @@ class _BudgetHit(Exception):
     pass
 
 
-class _Searcher:
-    """Depth-first assignment of explicit scheduler choices.
-
-    One node = one placed choice (on either side).  Hitting max_nodes
-    aborts the whole search; an inconclusive run must never look like a
-    refutation.
+def _literal_walk(
+    native_a: tuple[int, ...], native_b: tuple[int, ...], budget: SearchBudget, relation: str
+) -> tuple[str, int, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """The witness search, literally: one depth-first walk over the joint
+    choice vector, A's k choices and then B's, each window buffer rebuilt
+    from its native listing and its candidates tried in increasing order.
+    Every candidate tried, on either side, is one node, and reaching
+    max_nodes aborts the walk.  A B candidate is kept only if B's prefix
+    with it stands in the relation, by the direct loop, to A's prefix of
+    the same length.  Returns ``search._walk``'s (status, nodes, both
+    choice vectors or None).  Recursion 2k deep.
     """
+    k, w, max_nodes = budget.k, budget.window, budget.max_nodes
+    holds = _direct_leq if relation == "eo_leq" else _direct_uniform
+    nodes = 0
 
-    def __init__(self, native_a, native_b, budget: SearchBudget, relation: str):
-        self.native_a = native_a
-        self.native_b = native_b
-        self.budget = budget
-        self.relation = relation
-        self.nodes = 0
-
-    def _tick(self) -> None:
-        if self.nodes >= self.budget.max_nodes:
-            raise _BudgetHit
-        self.nodes += 1
-
-    def _ok_so_far(self, prefix_a, prefix_b) -> bool:
-        t = len(prefix_b) - 1
-        b_t = prefix_b[t]
-        a_t = prefix_a[t]
-        if self.relation == "eo_leq":
-            for i in range(t):
-                if prefix_a[i] < a_t and not (prefix_b[i] < b_t):
-                    return False
-        else:
-            for i in range(t):
-                if (prefix_a[i] < a_t) != (prefix_b[i] < b_t):
-                    return False
-        return True
-
-    def _b_dfs(self, prefix_a, buffer, consumed, prefix_b, choices_b):
-        if len(prefix_b) == self.budget.k:
-            return tuple(choices_b)
-        refill = list(buffer)
-        used = consumed
-        while len(refill) < self.budget.window and used < len(self.native_b):
-            refill.append(self.native_b[used])
-            used += 1
-        for choice in range(len(refill)):
-            self._tick()
-            element = refill[choice]
-            prefix_b.append(element)
-            choices_b.append(choice)
-            if self._ok_so_far(prefix_a, prefix_b):
-                rest = refill[:choice] + refill[choice + 1 :]
-                found = self._b_dfs(prefix_a, rest, used, prefix_b, choices_b)
-                if found is not None:
-                    return found
-            prefix_b.pop()
-            choices_b.pop()
-        return None
-
-    def _a_dfs(self, buffer, consumed, prefix_a, choices_a):
-        if len(prefix_a) == self.budget.k:
-            found_b = self._b_dfs(prefix_a, [], 0, [], [])
-            if found_b is not None:
-                return tuple(choices_a), found_b
-            return None
-        refill = list(buffer)
-        used = consumed
-        while len(refill) < self.budget.window and used < len(self.native_a):
-            refill.append(self.native_a[used])
-            used += 1
-        for choice in range(len(refill)):
-            self._tick()
-            prefix_a.append(refill[choice])
-            choices_a.append(choice)
-            rest = refill[:choice] + refill[choice + 1 :]
-            found = self._a_dfs(rest, used, prefix_a, choices_a)
-            if found is not None:
+    def walk(native, buffer, prefix, choices, a):
+        # ``a`` is A's complete (prefix, choices) on B's side, else None.
+        nonlocal nodes
+        t = len(prefix)
+        if t == k:
+            return (a[1], choices) if a else walk(native_b, (), (), (), (prefix, choices))
+        buffer += native[t + len(buffer) : t + w]
+        for choice, x in enumerate(buffer):
+            if nodes == max_nodes:
+                raise _BudgetHit
+            nodes += 1
+            longer = prefix + (x,)
+            if a and not holds(a[0][: t + 1], longer):
+                continue
+            found = walk(native, buffer[:choice] + buffer[choice + 1 :], longer, choices + (choice,), a)
+            if found:
                 return found
-            prefix_a.pop()
-            choices_a.pop()
         return None
 
-    def run(self):
-        try:
-            return self._a_dfs([], 0, [], []), False
-        except _BudgetHit:
-            return None, True
+    try:
+        found = walk(native_a, (), (), (), None)
+    except _BudgetHit:
+        return "budget_exceeded", nodes, None
+    return "witness_found" if found else "space_exhausted", nodes, found
 
 
 def recursive_witness_search(
@@ -611,16 +570,15 @@ def recursive_witness_search(
     budget: SearchBudget,
     relation: str,
 ) -> WitnessReport:
-    """The witness search as two recursive DFSs over rebuilt window
-    buffers; the node-count reference for ``search._walk``.  Its report
-    matches the search's field for field, ``nodes_explored`` included.
-    Recursion 2k deep, so keep k well below the recursion limit.
+    """The witness search as ``_literal_walk``; the node-count reference
+    for ``search._walk``.  Its report matches the search's field for
+    field, ``nodes_explored`` included.  Cap k <= 200, which keeps the
+    recursion well below Python's limit.
     """
+    _require(1 <= budget.k <= 200, f"recursive witness search takes k in 1..200, got {clip(budget.k)}")
     if relation not in ("eo_leq", "uniform"):
         raise InputError(f"unknown relation {clip(repr(relation))}")
     trace_a, trace_b = native_traces(prog_a, prog_b, budget.k, budget.round_cap)
-    searcher = _Searcher(trace_a.emitted, trace_b.emitted, budget, relation)
-    found, budget_hit = searcher.run()
-    status = "budget_exceeded" if budget_hit else "witness_found" if found else "space_exhausted"
     natives = (trace_a.emitted, trace_b.emitted)
-    return _report(status, relation, budget.k, budget.window, searcher.nodes, natives, found)
+    status, nodes, found = _literal_walk(*natives, budget, relation)
+    return _report(status, relation, budget.k, budget.window, nodes, natives, found)

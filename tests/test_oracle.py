@@ -24,11 +24,12 @@ from eolab.oracle import (
     check_preorder_laws,
     check_theorem3_finite,
     check_theorem10,
+    recursive_witness_search,
 )
-from eolab.search import InsufficientEnumerationError
+from eolab.search import MAX_NODES, InsufficientEnumerationError, SearchBudget
 from eolab.vm import Scheduler, dovetail, parse_program
 
-from conftest import PROGRAMS, load_program
+from conftest import PAIR_NAMES, PROGRAMS, load_program
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
@@ -146,6 +147,21 @@ def test_brute_force_caps():
         brute_force_witness(evens, evens, k=7, w=2, relation="eo_leq")
     with pytest.raises(OracleCapError):
         brute_force_witness(evens, evens, k=2, w=4, relation="eo_leq")
+
+
+@pytest.mark.parametrize("names", PAIR_NAMES, ids="-".join)
+@pytest.mark.parametrize("relation", ["eo_leq", "uniform"])
+def test_literal_walk_agrees_with_brute_force(names, relation):
+    # The two witness references, with no fast path between them: the
+    # status and both choice vectors agree.  Their node counts differ by
+    # definition (candidates tried against joint vectors scanned).
+    prog_a, prog_b = map(load_program, names)
+    for k, w in itertools.product(range(1, 7), range(1, 4)):
+        budget = SearchBudget(k=k, window=w, max_nodes=MAX_NODES)
+        walked = recursive_witness_search(prog_a, prog_b, budget, relation)
+        brute = brute_force_witness(prog_a, prog_b, k, w, relation)
+        assert walked.status == brute.status, (k, w)
+        assert (walked.choices_a, walked.choices_b) == (brute.choices_a, brute.choices_b), (k, w)
 
 
 def test_brute_force_range_checks_raise_input_error():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eolab.errors import InputError
-from eolab.oracle import _Searcher, recursive_witness_search
+from eolab.oracle import OracleCapError, _literal_walk, recursive_witness_search
 from eolab.patterns import eo_leq, pattern_of, uniform
 from eolab.search import (
     RESTRICTION_NOTE,
@@ -204,6 +204,16 @@ def test_search_report_matches_recursive_reference(pair, relation):
         ), (k, w, max_nodes)
 
 
+def test_recursive_reference_cap():
+    # k=200 is the largest the literal walk takes; 201 is refused before
+    # any dovetailing, as every oracle refuses a size above its cap.
+    evens = load_program("evens")
+    b = budget(k=200, w=1)
+    assert recursive_witness_search(evens, evens, b, "eo_leq") == witness(evens, evens, b, "eo_leq")
+    with pytest.raises(OracleCapError, match=r"^recursive witness search takes k in 1\.\.200, got 201$"):
+        recursive_witness_search(evens, evens, budget(k=201, w=1), "eo_leq")
+
+
 @st.composite
 def walk_cases(draw, opposed=False):
     k = draw(st.integers(3 if opposed else 1, 8))
@@ -220,10 +230,7 @@ def walk_cases(draw, opposed=False):
 @given(walk_cases())
 def test_walk_matches_recursive_reference_on_generated_natives(case):
     native_a, native_b, b, relation = case
-    searcher = _Searcher(native_a, native_b, b, relation)
-    found, budget_hit = searcher.run()
-    status = "budget_exceeded" if budget_hit else "witness_found" if found else "space_exhausted"
-    assert _walk(native_a, native_b, b, relation)[:3] == (status, searcher.nodes, found)
+    assert _walk(native_a, native_b, b, relation)[:3] == _literal_walk(native_a, native_b, b, relation)
 
 
 @settings(max_examples=300, deadline=None)
@@ -232,11 +239,8 @@ def test_walk_with_shared_frontiers_matches_recursive_reference(case):
     # Rising against falling natives, where many of A's reorderings
     # select bounds chains already seen and share their frontiers.
     native_a, native_b, b, relation = case
-    searcher = _Searcher(native_a, native_b, b, relation)
-    found, budget_hit = searcher.run()
-    status = "budget_exceeded" if budget_hit else "witness_found" if found else "space_exhausted"
     *outcome, stats = _walk(native_a, native_b, b, relation)
-    assert tuple(outcome) == (status, searcher.nodes, found)
+    assert tuple(outcome) == _literal_walk(native_a, native_b, b, relation)
     # Every B prefix the frontiers keep comes from one B test.
     assert stats["bTests"] <= b.max_nodes
 
