@@ -100,10 +100,9 @@ def _fmt_seq(values) -> str:
 
 def _text(doc: dict) -> str:
     """``key: value`` lines: a list comma-joined, None or an empty list as
-    ``none``, a bool in lower case.  ``pattern`` builds its text by hand:
-    at its 4,000-element ceiling each row is a 46 MB string, and copying it
-    again here raised the process's peak RSS from 280 to 455 MB."""
-    lines = []
+    ``none``, a bool in lower case.  The pieces are joined once, so a long
+    value, such as ``pattern``'s 46 MB rows, is copied only into the result."""
+    pieces = []
     for key, value in doc.items():
         if isinstance(value, bool):
             value = str(value).lower()
@@ -111,8 +110,8 @@ def _text(doc: dict) -> str:
             value = _fmt_seq(value) or "none"
         elif value is None:
             value = "none"
-        lines.append(f"{key}: {value}")
-    return "\n".join(lines) + "\n"
+        pieces += (key, ": ", str(value), "\n")
+    return "".join(pieces)
 
 
 def _join_pairs(p, opening: str, closing: str, sep: str) -> tuple[str, str]:
@@ -157,8 +156,7 @@ def _cmd_pattern(args) -> tuple[int, str]:
         # What _dump_json gives for {"pattern", "ascents", "inversions"}.
         doc = f'{{"ascents":[{up}],"inversions":[{down}],"pattern":[{_fmt_seq(p.ranks)}]}}'
         return EXIT_OK, doc + "\n"
-    text = f"pattern: {_fmt_seq(p.ranks)}\nascents: {up or 'none'}\ninversions: {down or 'none'}\n"
-    return EXIT_OK, text
+    return EXIT_OK, _text({"pattern": list(p.ranks), "ascents": up or None, "inversions": down or None})
 
 
 _VERDICTS = {

@@ -1,6 +1,8 @@
-"""The exception families ``eolab.cli`` maps to exit codes, and ``clip`` for
-what error messages echo.  It imports nothing, so the CLI maps them without
-loading a layer; each layer re-exports the exceptions it raises.
+"""Every exception class eolab defines for a layer to raise: five families,
+each of which ``eolab.cli`` maps to one exit code (any other exception is a
+bug, exit 6), and ``clip`` for what error messages echo.  It imports nothing, so
+the CLI maps them without loading a layer; each layer re-exports the
+exceptions it raises.
 """
 
 
@@ -18,10 +20,6 @@ def clip(value: object) -> str:
 
 class InputError(ValueError):
     """Something the user supplied (argv, a file or a program) is invalid."""
-
-
-class ExpressionError(InputError):
-    """Base for anything wrong with an expression's text."""
 
 
 class EvaluationError(ArithmeticError):

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Union
 
-from .errors import EvaluationError, ExpressionError, clip
+from .errors import EvaluationError, InputError, clip
 
 MAX_VALUE = 2**64 - 1
 MAX_DEPTH = 100
@@ -38,25 +38,8 @@ _KEYWORDS = {"mod", "and", "or"}
 _CMP_OPS = {"==", "!=", "<", "<="}
 
 
-class ExpressionSyntaxError(ExpressionError):
-    def __init__(self, message: str, position: int):
-        self.position = position
-        super().__init__(f"{message} (at position {position})")
-
-
-class UnknownIdentifierError(ExpressionSyntaxError):
-    def __init__(self, name: str, position: int):
-        self.name = name
-        ExpressionError.__init__(self, f"unknown identifier {clip(repr(name))} (at position {position}); only 'i' is bound")
-        self.position = position
-
-
-class GuardTypeError(ExpressionError):
-    """An arithmetic value appeared where a boolean was required."""
-
-
-class CheckedOverflowError(EvaluationError):
-    """A result exceeded 64 unsigned bits."""
+def _syntax_error(message: str, position: int) -> InputError:
+    return InputError(f"{message} (at position {position})")
 
 
 # --- AST ------------------------------------------------------------------
@@ -126,7 +109,7 @@ def _tokenize(source: str) -> Iterator[tuple[str, str, int]]:
         elif ch in "+-*()<":
             kind = "op"
         else:
-            raise ExpressionSyntaxError(f"unexpected character {ch!r}", pos + 1)
+            raise _syntax_error(f"unexpected character {ch!r}", pos + 1)
         yield kind, source[pos:end], pos + 1
         pos = end
     yield "end", "", n + 1
@@ -145,7 +128,7 @@ class _Parser:
 
     def __init__(self, source: str):
         if len(source) > MAX_LENGTH:
-            raise ExpressionSyntaxError(f"expression of {len(source)} characters exceeds {MAX_LENGTH}", MAX_LENGTH + 1)
+            raise _syntax_error(f"expression of {len(source)} characters exceeds {MAX_LENGTH}", MAX_LENGTH + 1)
         self.tokens = _tokenize(source)
         self.advance()
         self.nesting = 0
@@ -158,7 +141,7 @@ class _Parser:
         left = operand(room)
         while (op := self.text) in ops:
             if left[1] == room:
-                raise ExpressionSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 1)
+                raise _syntax_error(f"expression nests deeper than {MAX_DEPTH} levels", 1)
             self.advance()
             right = operand(room - 1)
             left = kind(op, left[0], right[0]), max(left[1], right[1]) + 1
@@ -169,28 +152,28 @@ class _Parser:
         if text == "(":
             self.nesting += 1
             if self.nesting > MAX_DEPTH:
-                raise ExpressionSyntaxError(f"parentheses nest deeper than {MAX_DEPTH}", self.position)
+                raise _syntax_error(f"parentheses nest deeper than {MAX_DEPTH}", self.position)
             self.advance()
             inner = self.expr(room)
             self.nesting -= 1
             if self.text != ")":
-                raise ExpressionSyntaxError("expected ')'", self.position)
+                raise _syntax_error("expected ')'", self.position)
             self.advance()
             return inner
         if self.kind == "nat":
             # Length first: int() refuses strings of more than 4,300 digits.
             digits = text.lstrip("0") or "0"
             if len(digits) > len(str(MAX_VALUE)) or int(digits) > MAX_VALUE:
-                raise ExpressionSyntaxError(f"literal {clip(text)} exceeds 64 bits", self.position)
+                raise _syntax_error(f"literal {clip(text)} exceeds 64 bits", self.position)
             node = _Nat(int(digits))
         elif text == "i":
             node = _Var()
         elif text in _KEYWORDS:
-            raise ExpressionSyntaxError(f"unexpected keyword {text!r}", self.position)
+            raise _syntax_error(f"unexpected keyword {text!r}", self.position)
         elif self.kind == "ident":
-            raise UnknownIdentifierError(text, self.position)
+            raise InputError(f"unknown identifier {clip(repr(text))} (at position {self.position}); only 'i' is bound")
         else:
-            raise ExpressionSyntaxError(f"expected a natural, 'i' or '(' but found {text or 'end of input'!r}", self.position)
+            raise _syntax_error(f"expected a natural, 'i' or '(' but found {text or 'end of input'!r}", self.position)
         self.advance()
         return node, 1
 
@@ -204,7 +187,7 @@ class _Parser:
         left, left_height = self.expr(room - 1)
         op = self.text
         if op not in _CMP_OPS:
-            raise GuardTypeError(
+            raise InputError(
                 f"guard requires a comparison (==, !=, <, <=) but found "
                 f"{clip(repr(op or 'end of input'))} at position {self.position}"
             )
@@ -220,7 +203,7 @@ class _Parser:
 
     def expect_end(self) -> None:
         if self.text:
-            raise ExpressionSyntaxError(f"unexpected trailing {clip(repr(self.text))}", self.position)
+            raise _syntax_error(f"unexpected trailing {clip(repr(self.text))}", self.position)
 
 
 # --- compilation ----------------------------------------------------------
@@ -258,19 +241,19 @@ def _add(left, right, source: str) -> Callable[[int], int]:
         def add(i):
             result = left + i
             if result > MAX_VALUE:
-                raise CheckedOverflowError(_OVERFLOW, source, i)
+                raise EvaluationError(_OVERFLOW, source, i)
             return result
     elif type(left) is int:
         def add(i):
             result = left + right(i)
             if result > MAX_VALUE:
-                raise CheckedOverflowError(_OVERFLOW, source, i)
+                raise EvaluationError(_OVERFLOW, source, i)
             return result
     else:
         def add(i):
             result = left(i) + right(i)
             if result > MAX_VALUE:
-                raise CheckedOverflowError(_OVERFLOW, source, i)
+                raise EvaluationError(_OVERFLOW, source, i)
             return result
     return add
 
@@ -282,19 +265,19 @@ def _mul(left, right, source: str) -> Callable[[int], int]:
         def mul(i):
             result = left * i
             if result > MAX_VALUE:
-                raise CheckedOverflowError(_OVERFLOW, source, i)
+                raise EvaluationError(_OVERFLOW, source, i)
             return result
     elif type(left) is int:
         def mul(i):
             result = left * right(i)
             if result > MAX_VALUE:
-                raise CheckedOverflowError(_OVERFLOW, source, i)
+                raise EvaluationError(_OVERFLOW, source, i)
             return result
     else:
         def mul(i):
             result = left(i) * right(i)
             if result > MAX_VALUE:
-                raise CheckedOverflowError(_OVERFLOW, source, i)
+                raise EvaluationError(_OVERFLOW, source, i)
             return result
     return mul
 
@@ -318,7 +301,7 @@ def _sub(left, right, source: str) -> Callable[[int], int]:
             if i <= right:
                 return 0
             if i - right > MAX_VALUE:
-                raise CheckedOverflowError(_OVERFLOW, source, i)
+                raise EvaluationError(_OVERFLOW, source, i)
             return i - right
     elif type(right) is int:
         def sub(i):
@@ -331,7 +314,7 @@ def _sub(left, right, source: str) -> Callable[[int], int]:
             if a <= b:
                 return 0
             if a - b > MAX_VALUE:
-                raise CheckedOverflowError(_OVERFLOW, source, i)
+                raise EvaluationError(_OVERFLOW, source, i)
             return a - b
     return sub
 

@@ -27,24 +27,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import patterns as fast
-from .errors import InputError, clip
-from .expressions import (
-    MAX_VALUE,
-    CheckedOverflowError,
-    EvaluationError,
-    _ArithNode,
-    _BoolNode,
-    _Compare,
-    _Nat,
-    _Var,
-)
-from .poset import NoAntichainError, build_poset
+from .errors import EvaluationError, InputError, InsufficientPrefixError, NoAntichainError, clip
+from .expressions import MAX_VALUE, _ArithNode, _BoolNode, _Compare, _Nat, _Var
+from .poset import build_poset
 from .search import SearchBudget, WitnessReport, native_traces
-from .vm import ChoiceError, DovetailTrace, EnumeratorProgram, InsufficientPrefixError, Scheduler
-
-
-class OracleCapError(InputError):
-    """A suite was asked to exceed its stated size cap."""
+from .vm import DovetailTrace, EnumeratorProgram, Scheduler
 
 
 @dataclass(frozen=True)
@@ -104,7 +91,7 @@ def brute_force_pair_sets(p) -> tuple[frozenset, frozenset]:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise OracleCapError(message)
+        raise InputError(message)
 
 
 def _row(relation, p, others) -> int:
@@ -328,7 +315,7 @@ def _eval_arith(node: _ArithNode, i: int, source: str) -> int:
             raise EvaluationError("mod by zero", source, i)
         result = left % right
     if result > MAX_VALUE:
-        raise CheckedOverflowError("overflow beyond 64 bits", source, i)
+        raise EvaluationError("overflow beyond 64 bits", source, i)
     return result
 
 
@@ -442,10 +429,10 @@ def brute_force_schedule(native: Sequence[int], sched: Scheduler, k: int) -> fas
             idx = buffer.index(max(buffer))
         else:
             if t - 1 >= len(sched.choices):
-                raise ChoiceError(t, "no choice supplied")
+                raise InputError(f"step {t}: no choice supplied")
             idx = sched.choices[t - 1]
             if idx >= len(buffer):
-                raise ChoiceError(t, f"choice {idx} out of range for buffer of size {len(buffer)}")
+                raise InputError(f"step {t}: choice {idx} out of range for buffer of size {len(buffer)}")
         out.append(buffer.pop(idx))
     return fast.ListingPrefix(tuple(out))
 

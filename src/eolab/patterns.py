@@ -37,27 +37,6 @@ PREFIX_SCOPE_NOTE = (
 )
 
 
-class DuplicateElementError(InputError):
-    """A sequence that must be injective repeats a value."""
-
-    def __init__(self, value: int, first_index: int, second_index: int):
-        self.value = value
-        self.first_index = first_index
-        self.second_index = second_index
-        super().__init__(
-            f"duplicate element {value} at positions {first_index} and {second_index}"
-        )
-
-
-class LengthMismatchError(InputError):
-    """Two sequences that must have equal length do not."""
-
-    def __init__(self, left_length: int, right_length: int):
-        self.left_length = left_length
-        self.right_length = right_length
-        super().__init__(f"length mismatch: {left_length} vs {right_length}")
-
-
 @dataclass(frozen=True)
 class OrderPattern:
     """The relative-order fingerprint of an injective sequence.
@@ -112,7 +91,7 @@ class ListingPrefix:
             if value < 0 or value > MAX_ELEMENT:
                 raise InputError(f"element {clip(value)} at position {pos} outside 0..{MAX_ELEMENT}")
             if value in seen:
-                raise DuplicateElementError(value, seen[value], pos)
+                raise InputError(f"duplicate element {value} at positions {seen[value]} and {pos}")
             seen[value] = pos
 
 
@@ -146,7 +125,7 @@ def eo_leq(p: OrderPattern, q: OrderPattern) -> bool:
     False
     """
     if len(p.ranks) != len(q.ranks):
-        raise LengthMismatchError(len(p.ranks), len(q.ranks))
+        raise InputError(f"length mismatch: {len(p.ranks)} vs {len(q.ranks)}")
     return p.ascent_mask & ~q.ascent_mask == 0
 
 
@@ -154,7 +133,7 @@ def _first_violation(p: OrderPattern, q: OrderPattern) -> tuple[int, int] | None
     """Least index pair, in lexicographic order, that is an ascent of p but
     an inversion of q; None exactly when p ≤eo q."""
     if len(p.ranks) != len(q.ranks):
-        raise LengthMismatchError(len(p.ranks), len(q.ranks))
+        raise InputError(f"length mismatch: {len(p.ranks)} vs {len(q.ranks)}")
     diff = p.ascent_mask & ~q.ascent_mask
     if not diff:
         return None
@@ -173,7 +152,7 @@ def uniform(p: OrderPattern, q: OrderPattern) -> bool:
     """Positionwise order-isomorphism: for injective sequences this is
     exactly pattern equality."""
     if len(p.ranks) != len(q.ranks):
-        raise LengthMismatchError(len(p.ranks), len(q.ranks))
+        raise InputError(f"length mismatch: {len(p.ranks)} vs {len(q.ranks)}")
     return p.ranks == q.ranks
 
 
@@ -197,6 +176,6 @@ def apply_pattern(p: OrderPattern, support: ListingPrefix | Iterable[int]) -> Li
         support = ListingPrefix(tuple(support))
     values = support.elements
     if len(values) != len(p.ranks):
-        raise LengthMismatchError(len(p.ranks), len(values))
+        raise InputError(f"length mismatch: {len(p.ranks)} vs {len(values)}")
     ordered = sorted(values)
     return ListingPrefix(tuple(ordered[r] for r in p.ranks))

@@ -30,13 +30,9 @@ HARD_CAP = 8
 POSET_SCOPE_NOTE = "finite-prefix analogue of the class order; " + PREFIX_SCOPE_NOTE
 
 
-class PosetRangeError(InputError):
-    """Requested length is outside 1..HARD_CAP."""
-
-
 def _check_n(n: int) -> None:
     if n < 1 or n > HARD_CAP:
-        raise PosetRangeError(f"pattern length {clip(n)} outside 1..{HARD_CAP}")
+        raise InputError(f"pattern length {clip(n)} outside 1..{HARD_CAP}")
 
 
 def all_patterns(n: int) -> tuple[OrderPattern, ...]:

@@ -30,18 +30,6 @@ SCHEDULER_KINDS = ("native", "min_first", "max_first", "explicit")
 MAX_ROUND_CAP = 10**6  # dovetail takes time and memory linear in its round cap
 
 
-class ProgramError(InputError):
-    """A program document is malformed."""
-
-
-class ChoiceError(InputError):
-    """An explicit scheduler choice does not index the current buffer."""
-
-    def __init__(self, step: int, message: str):
-        self.step = step
-        super().__init__(f"step {step}: {message}")
-
-
 @dataclass(frozen=True)
 class EnumeratorProgram:
     """A named partial function with explicit halting costs."""
@@ -62,27 +50,27 @@ def parse_program(source: str) -> EnumeratorProgram:
     try:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
-        raise ProgramError(f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})")
+        raise InputError(f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})")
     except RecursionError:
-        raise ProgramError("invalid JSON: nested too deeply")
+        raise InputError("invalid JSON: nested too deeply")
     except ValueError:  # an integer of more digits than int() converts
-        raise ProgramError("invalid JSON: number has too many digits")
+        raise InputError("invalid JSON: number has too many digits")
     if not isinstance(doc, dict):
-        raise ProgramError("program document must be a JSON object")
+        raise InputError("program document must be a JSON object")
     unknown = set(doc) - {"name", "value", "cost", "guard"}
     if unknown:
-        raise ProgramError(f"unknown keys: {clip(', '.join(sorted(unknown)))}")
+        raise InputError(f"unknown keys: {clip(', '.join(sorted(unknown)))}")
     for key in ("name", "value", "cost"):
         if key not in doc:
-            raise ProgramError(f"missing key: {key}")
+            raise InputError(f"missing key: {key}")
         if not isinstance(doc[key], str):
-            raise ProgramError(f"key {key!r} must be a string")
+            raise InputError(f"key {key!r} must be a string")
     name = doc["name"]
     if not name or not name.replace("_", "").isalnum():
-        raise ProgramError(f"name {clip(repr(name))} is not an identifier")
+        raise InputError(f"name {clip(repr(name))} is not an identifier")
     guard_src = doc.get("guard")
     if guard_src is not None and not isinstance(guard_src, str):
-        raise ProgramError("key 'guard' must be a string or null")
+        raise InputError("key 'guard' must be a string or null")
     return EnumeratorProgram(
         name=name,
         value=parse_arith(doc["value"]),
@@ -248,10 +236,10 @@ def schedule(native: Sequence[int], sched: Scheduler, k: int) -> ListingPrefix:
     out = []
     for t, idx in enumerate(sched.choices[:k], start=1):
         if idx >= len(buffer):
-            raise ChoiceError(t, f"choice {idx} out of range for buffer of size {len(buffer)}")
+            raise InputError(f"step {t}: choice {idx} out of range for buffer of size {len(buffer)}")
         out.append(buffer.pop(idx))
         if t + window <= len(native):
             buffer.append(native[t + window - 1])
     if len(out) < k:
-        raise ChoiceError(len(out) + 1, "no choice supplied")
+        raise InputError(f"step {len(out) + 1}: no choice supplied")
     return ListingPrefix(tuple(out))

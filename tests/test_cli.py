@@ -18,14 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eolab
-from eolab.cli import _MAX_ELEMENT_DIGITS, MAX_PATTERN_LENGTH, build_parser, main
-from eolab.errors import (
-    EvaluationError,
-    InputError,
-    InsufficientEnumerationError,
-    InsufficientPrefixError,
-    NoAntichainError,
-)
+from eolab.cli import _EXITS, _MAX_ELEMENT_DIGITS, MAX_PATTERN_LENGTH, build_parser, main
 from eolab.expressions import MAX_LENGTH
 from eolab.oracle import brute_force_pair_sets
 from eolab.patterns import MAX_ELEMENT, OrderPattern, pattern_of
@@ -991,20 +984,23 @@ def test_failed_certificate_exit_6(capsys, monkeypatch, target, broken, argv, me
 
 
 def test_every_exception_has_an_exit_code():
-    """Each exception class eolab defines is an input error (exit 2), or in a
-    family that exits 3 or 4; a check raising any other class exits 6."""
-    families = (InputError, NoAntichainError, EvaluationError, InsufficientPrefixError,
-                InsufficientEnumerationError)
-    unmapped = set()
+    """errors.py defines every exception class a layer raises, and _EXITS maps
+    each of them to one exit code; a check raising any other class exits 6."""
+    defined = {}
     for info in pkgutil.iter_modules(eolab.__path__):
         if info.name == "__main__":  # runs the CLI on import
             continue
         module = importlib.import_module(f"eolab.{info.name}")
         for cls in vars(module).values():
             if (inspect.isclass(cls) and issubclass(cls, BaseException)
-                    and cls.__module__ == module.__name__ and not issubclass(cls, families)):
-                unmapped.add(f"{info.name}.{cls.__name__}")
-    assert unmapped == {"oracle._BudgetHit"}  # private: the search catches it
+                    and cls.__module__ == module.__name__):
+                defined[f"{info.name}.{cls.__name__}"] = cls
+    outside = {name for name in defined if not name.startswith("errors.")}
+    assert outside == {"oracle._BudgetHit"}  # private: the search catches it
+    mapped = set()
+    for families, _ in _EXITS:
+        mapped.update(families if isinstance(families, tuple) else (families,))
+    assert {cls for name, cls in defined.items() if name.startswith("errors.")} == mapped
 
 
 def test_witness_replay_check_survives_optimize():

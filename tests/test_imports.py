@@ -80,7 +80,6 @@ def test_layers_reexport_the_errors_cli_maps():
     from eolab import errors, expressions, poset, search, vm
 
     assert expressions.EvaluationError is errors.EvaluationError
-    assert expressions.ExpressionError is errors.ExpressionError
     assert vm.InsufficientPrefixError is errors.InsufficientPrefixError
     assert search.InsufficientEnumerationError is errors.InsufficientEnumerationError
     assert poset.NoAntichainError is errors.NoAntichainError

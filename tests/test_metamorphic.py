@@ -2,7 +2,8 @@
 
 Each test transforms its input in a way whose effect on the answer is
 known from the definitions, and needs no reference: the witness walk at
-k up to 300, and ``cmp``'s verdict on sequences up to length 2,000.
+k up to 300, ``cmp``'s verdict on sequences up to length 2,000, and the
+poset's cover edges at every length up to 8.
 Cases come from seeded generators, and each test counts the cases that
 decide something, so a generator that drifts into vacuous cases fails.
 Every witness the walk returns is also replayed and re-checked.
@@ -16,6 +17,7 @@ import pytest
 
 from eolab.cli import main
 from eolab.patterns import _first_violation, eo_leq, pattern_of, uniform
+from eolab.poset import build_poset
 from eolab.search import SearchBudget, _walk
 from eolab.vm import Scheduler, schedule
 
@@ -161,3 +163,15 @@ def test_cmp_cli_reversed_and_complemented(capsys):
             f"right ≤eo left: false (least violation {violation})\n"
             "verdict: left ≤eo right only\n"
         )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cover_edges_survive_reverse_complement(n):
+    # p -> w0 p w0, position i taking n - 1 - p[n - 1 - i], sends the
+    # ascent (i, j) to (n - 1 - j, n - 1 - i): an automorphism of the weak
+    # order, so it maps the cover edges onto themselves, direction kept.
+    poset = build_poset(n)
+    index = {p.ranks: a for a, p in enumerate(poset.nodes)}
+    image = [index[tuple(n - 1 - r for r in reversed(p.ranks))] for p in poset.nodes]
+    edges = set(poset.hasse)
+    assert {(image[a], image[b]) for a, b in edges} == edges

@@ -15,7 +15,6 @@ from eolab import oracle, patterns as fast
 from eolab.errors import InputError
 from eolab.expressions import EvaluationError
 from eolab.oracle import (
-    OracleCapError,
     brute_force_dovetail,
     brute_force_schedule,
     brute_force_witness,
@@ -42,7 +41,7 @@ def test_preorder_laws_pass(n):
 
 
 def test_preorder_cap():
-    with pytest.raises(OracleCapError):
+    with pytest.raises(InputError, match=r"^preorder suite takes n in 1\.\.5, got 6$"):
         check_preorder_laws(6)
 
 
@@ -54,7 +53,7 @@ def test_inversion_equiv_pass(n):
 
 
 def test_inversion_cap():
-    with pytest.raises(OracleCapError):
+    with pytest.raises(InputError, match=r"^inversion suite takes n in 1\.\.6, got 7$"):
         check_inversion_equiv(7)
 
 
@@ -75,14 +74,13 @@ def test_theorem3_pass():
 
 
 def test_theorem3_support_size_enforced():
-    with pytest.raises(OracleCapError):
+    with pytest.raises(InputError, match=r"^support must hold exactly 3 distinct naturals, got \[1, 2\]$"):
         check_theorem3_finite(3, {1, 2})
 
 
 def test_theorem3_support_repeat_rejected():
-    with pytest.raises(fast.DuplicateElementError) as exc:
+    with pytest.raises(InputError, match=r"^duplicate element 4 at positions 0 and 2$"):
         check_theorem3_finite(3, [4, 8, 4])
-    assert (exc.value.value, exc.value.first_index, exc.value.second_index) == (4, 0, 2)
 
 
 def test_theorem3_checks_its_support_once(monkeypatch):
@@ -91,6 +89,17 @@ def test_theorem3_checks_its_support_once(monkeypatch):
     monkeypatch.setattr(fast.ListingPrefix, "__post_init__", lambda self: built.append(check(self)))
     assert check_theorem3_finite(4, (2, 3, 5, 7)).passed
     assert len(built) == 1 + math.factorial(4)  # the support, then each arrangement
+
+
+def test_theorem3_records_each_failed_arrangement(monkeypatch):
+    def realize(p, support):  # ignores its pattern, so only the identity comes out right
+        return fast.ListingPrefix(sorted(support.elements))
+
+    monkeypatch.setattr("eolab.patterns.apply_pattern", realize)
+    report = check_theorem3_finite(3, {4, 8, 15})
+    assert (report.passed, report.checked) == (False, 6)
+    assert report.failures == tuple({"pattern": list(p), "realized": [4, 8, 15]}
+                                    for p in itertools.permutations(range(3)) if p != (0, 1, 2))
 
 
 def test_theorem3_names_bad_value_at_its_support_position():
@@ -106,7 +115,7 @@ def test_hasse_pass(n):
 
 
 def test_hasse_cap():
-    with pytest.raises(OracleCapError):
+    with pytest.raises(InputError, match=r"^hasse suite takes n in 1\.\.5, got 6$"):
         check_hasse(6)
 
 
@@ -143,9 +152,9 @@ def test_brute_force_unknown_relation_is_a_clipped_input_error():
 
 def test_brute_force_caps():
     evens = load_program("evens")
-    with pytest.raises(OracleCapError):
+    with pytest.raises(InputError, match=r"^brute force takes k in 1\.\.6, got 7$"):
         brute_force_witness(evens, evens, k=7, w=2, relation="eo_leq")
-    with pytest.raises(OracleCapError):
+    with pytest.raises(InputError, match=r"^brute force takes w in 1\.\.3, got 4$"):
         brute_force_witness(evens, evens, k=2, w=4, relation="eo_leq")
 
 

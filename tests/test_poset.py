@@ -17,7 +17,6 @@ from eolab.poset import (
     Antichain,
     Chain,
     NoAntichainError,
-    PosetRangeError,
     _below,
     _levels,
     all_patterns,
@@ -70,9 +69,9 @@ def test_all_patterns_counts_and_order():
 
 
 def test_all_patterns_range_errors():
-    with pytest.raises(PosetRangeError):
+    with pytest.raises(InputError, match=r"^pattern length 0 outside 1\.\.8$"):
         all_patterns(0)
-    with pytest.raises(PosetRangeError):
+    with pytest.raises(InputError, match=r"^pattern length 9 outside 1\.\.8$"):
         all_patterns(9)
 
 
@@ -176,6 +175,8 @@ def test_chain_validation():
         Chain((OrderPattern((0, 1, 2)), OrderPattern((2, 1, 0))))  # wrong direction
     with pytest.raises(ValueError):
         Chain((OrderPattern((0, 1, 2)), OrderPattern((0, 1, 2))))  # not strict
+    with pytest.raises(ValueError, match="^empty chain$"):
+        Chain(())
 
 
 # --- sample_antichain ----------------------------------------------------

@@ -8,18 +8,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eolab.errors import InputError
-from eolab.oracle import OracleCapError, _literal_walk, recursive_witness_search
+from eolab.oracle import _literal_walk, recursive_witness_search
 from eolab.patterns import eo_leq, pattern_of, uniform
 from eolab.search import (
     RESTRICTION_NOTE,
     InsufficientEnumerationError,
     SearchBudget,
     _walk,
+    native_traces,
     witness,
 )
 from eolab.vm import Scheduler, parse_program, schedule
 
 from conftest import load_program, program_pairs
+from hall import uniform_witness
 
 
 def budget(k, w, max_nodes=200_000, round_cap=1_000):
@@ -210,7 +212,7 @@ def test_recursive_reference_cap():
     evens = load_program("evens")
     b = budget(k=200, w=1)
     assert recursive_witness_search(evens, evens, b, "eo_leq") == witness(evens, evens, b, "eo_leq")
-    with pytest.raises(OracleCapError, match=r"^recursive witness search takes k in 1\.\.200, got 201$"):
+    with pytest.raises(InputError, match=r"^recursive witness search takes k in 1\.\.200, got 201$"):
         recursive_witness_search(evens, evens, budget(k=201, w=1), "eo_leq")
 
 
@@ -259,6 +261,65 @@ def test_budget_cut_points_match_recursive_reference(k, w, relation):
         assert witness(evens, countdown, b, relation) == recursive_witness_search(
             evens, countdown, b, relation
         ), max_nodes
+
+
+# --- agreement with Hall's theorem (uniform, any k) -------------------------
+
+
+@pytest.mark.parametrize("pair", program_pairs(), ids=lambda p: p[0].name + "-" + p[1].name)
+def test_hall_agrees_with_brute_force(pair):
+    # The helper against the unpruned oracle, which shares no code with it.
+    from eolab.oracle import brute_force_witness
+
+    prog_a, prog_b = pair
+    for k, w in itertools.product(range(1, 7), (1, 2, 3)):
+        brute = brute_force_witness(prog_a, prog_b, k, w, "uniform")
+        trace_a, trace_b = native_traces(prog_a, prog_b, k, 1_000)
+        found = uniform_witness(trace_a.emitted, trace_b.emitted, w)
+        assert found == (None if brute.choices_a is None else (brute.choices_a, brute.choices_b)), (k, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_cases())
+def test_walk_uniform_agrees_with_hall_on_generated_natives(case):
+    native_a, native_b, b, _ = case
+    status, _, found, _ = _walk(native_a, native_b, b, "uniform")
+    if status != "budget_exceeded":
+        assert found == uniform_witness(native_a, native_b, b.window)
+
+
+@st.composite
+def hall_cases(draw):
+    # Programs A and B with k up to 300: a cost that staggers the halting
+    # order, the same or a nearby one for B, and values that B relabels,
+    # and perturbs a little, so witnesses, exhaustions and budget stops all occur.
+    c, m = draw(st.integers(1, 30)), draw(st.integers(2, 5))
+    costs = ("1", f"1 + {c}*(i mod {m})", f"{c} - i + 1")
+    cost_a = draw(st.sampled_from(costs))
+    cost_b = cost_a if draw(st.booleans()) else draw(st.sampled_from(costs + (f"1 + {c + 1}*(i mod {m})",)))
+    d = draw(st.integers(0, 3))
+    value_a = draw(st.sampled_from(("i", "1000000 - i", f"i + {d}*(i mod 2)", f"i + {d}*(i mod 3)")))
+    value_b = draw(st.sampled_from((f"2*i + {d}*(i mod 4)", f"1000000 - 2*i - {d}*(i mod 3)", f"3*i + {d}*(i mod 2)",
+                                    f"i + {d}*(i mod 3)")))
+    prog_a, prog_b = (parse_program(f'{{"name": "{name}", "value": "{value}", "cost": "{cost}"}}')
+                      for name, value, cost in (("a", value_a, cost_a), ("b", value_b, cost_b)))
+    b = budget(k=draw(st.integers(1, 10) | st.integers(50, 300)), w=draw(st.integers(1, 6)),
+               max_nodes=draw(st.integers(1_000, 20_000)), round_cap=2_000)
+    return prog_a, prog_b, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hall_cases())
+def test_uniform_search_agrees_with_hall(case):
+    # Status and both choice vectors at k up to 300, far above every
+    # other reference's reach; a budget stop decides nothing.
+    prog_a, prog_b, b = case
+    report = witness(prog_a, prog_b, b, "uniform")
+    if report.status != "budget_exceeded":
+        trace_a, trace_b = native_traces(prog_a, prog_b, b.k, b.round_cap)
+        found = uniform_witness(trace_a.emitted, trace_b.emitted, b.window)
+        assert report.status == ("space_exhausted" if found is None else "witness_found")
+        assert (report.choices_a, report.choices_b) == (found or (None, None))
 
 
 # Rising against falling natives: (k, w) -> the exact counters of each

@@ -7,30 +7,11 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eolab.expressions import (
-    MAX_DEPTH,
-    MAX_VALUE,
-    CheckedOverflowError,
-    EvaluationError,
-    ExpressionError,
-    ExpressionSyntaxError,
-    GuardExpr,
-    GuardTypeError,
-    UnknownIdentifierError,
-    parse_arith,
-    parse_guard,
-)
+from eolab.errors import InputError
+from eolab.expressions import MAX_DEPTH, MAX_VALUE, EvaluationError, GuardExpr, parse_arith, parse_guard
 from eolab.oracle import _eval_arith, _eval_bool, brute_force_schedule
 from eolab.patterns import pattern_of
-from eolab.vm import (
-    ChoiceError,
-    InsufficientPrefixError,
-    ProgramError,
-    Scheduler,
-    dovetail,
-    parse_program,
-    schedule,
-)
+from eolab.vm import InsufficientPrefixError, Scheduler, dovetail, parse_program, schedule
 
 EVENS = '{"name":"evens","value":"2*i","cost":"1"}'
 ODDS_FAST = '{"name":"odds_fast","value":"i","cost":"1 + 99*(1 - (i mod 2))","guard":null}'
@@ -71,41 +52,40 @@ def test_guard_evaluation(source, i, expected):
     assert parse_guard(source).evaluate(i) is expected
 
 
+def _input_error(parse, source: str) -> str:
+    with pytest.raises(InputError) as exc:
+        parse(source)
+    return str(exc.value)
+
+
 def test_unknown_identifier_reports_name_and_position():
-    with pytest.raises(UnknownIdentifierError) as exc:
-        parse_arith("2*j")
-    assert exc.value.name == "j"
-    assert exc.value.position == 3
+    assert _input_error(parse_arith, "2*j") == "unknown identifier 'j' (at position 3); only 'i' is bound"
 
 
 def test_syntax_error_carries_position():
-    with pytest.raises(ExpressionSyntaxError) as exc:
-        parse_arith("1 + + 2")
-    assert exc.value.position == 5
-    with pytest.raises(ExpressionSyntaxError):
-        parse_arith("(1 + 2")
-    with pytest.raises(ExpressionSyntaxError):
-        parse_arith("1 ? 2")
+    assert _input_error(parse_arith, "1 + + 2") == (
+        "expected a natural, 'i' or '(' but found '+' (at position 5)")
+    assert _input_error(parse_arith, "(1 + 2") == "expected ')' (at position 7)"
+    assert _input_error(parse_arith, "1 ? 2") == "unexpected character '?' (at position 3)"
 
 
 def test_arith_rejects_boolean_syntax():
-    with pytest.raises(ExpressionSyntaxError):
-        parse_arith("i < 2")
+    assert _input_error(parse_arith, "i < 2") == "unexpected trailing '<' (at position 3)"
 
 
 def test_guard_requires_comparison():
-    with pytest.raises(GuardTypeError):
-        parse_guard("i + 1")
-    with pytest.raises(GuardTypeError):
-        parse_guard("i == 1 and i")
+    message = "guard requires a comparison (==, !=, <, <=) but found 'end of input' at position {}"
+    assert _input_error(parse_guard, "i + 1") == message.format(6)
+    assert _input_error(parse_guard, "i == 1 and i") == message.format(13)
 
 
 def test_overflow_is_loud_and_contextual():
     expr = parse_arith("i * i")
     ok = expr.evaluate(2**32 - 1)
     assert ok == (2**32 - 1) ** 2
-    with pytest.raises(CheckedOverflowError) as exc:
+    with pytest.raises(EvaluationError) as exc:
         expr.evaluate(2**33)
+    assert str(exc.value) == "overflow beyond 64 bits while evaluating 'i * i' at i=8589934592"
     assert exc.value.input_value == 2**33
     assert exc.value.expression == "i * i"
 
@@ -116,8 +96,8 @@ def test_mod_by_zero():
 
 
 def test_oversized_literal_rejected():
-    with pytest.raises(ExpressionSyntaxError):
-        parse_arith(str(2**64))
+    assert _input_error(parse_arith, str(2**64)) == (
+        "literal 18446744073709551616 exceeds 64 bits (at position 1)")
 
 
 def test_depth_limit_boundary():
@@ -134,11 +114,11 @@ def test_depth_limit_boundary():
     for expr in deepest:
         for i in (0, 1, 2, 2**32):
             assert _evaluation(expr.evaluate, i) == _evaluation(_tree_walk(expr), i)
-    for too_deep in ("(" + nested + ")", "+".join(["i"] * (MAX_DEPTH + 1))):
-        with pytest.raises(ExpressionSyntaxError):
-            parse_arith(too_deep)
-    with pytest.raises(ExpressionSyntaxError):
-        parse_guard(" or ".join(["i == 1"] * MAX_DEPTH))
+    too_deep = f"expression nests deeper than {MAX_DEPTH} levels (at position 1)"
+    assert _input_error(parse_arith, "(" + nested + ")") == (
+        f"parentheses nest deeper than {MAX_DEPTH} (at position {MAX_DEPTH + 1})")
+    assert _input_error(parse_arith, "+".join(["i"] * (MAX_DEPTH + 1))) == too_deep
+    assert _input_error(parse_guard, " or ".join(["i == 1"] * MAX_DEPTH)) == too_deep
 
 
 def test_depth_error_precedes_later_syntax_errors():
@@ -150,31 +130,22 @@ def test_depth_error_precedes_later_syntax_errors():
                           (parse_arith, too_deep + " $"),
                           (parse_arith, "i + " + "*".join(["i"] * MAX_DEPTH) + " $"),
                           (parse_guard, " or ".join(["i == 1"] * MAX_DEPTH) + " or")):
-        with pytest.raises(ExpressionSyntaxError) as caught:
-            parse(source)
-        assert str(caught.value) == message
-    with pytest.raises(ExpressionSyntaxError) as caught:
-        parse_arith("(" * (MAX_DEPTH + 1) + "$")
-    assert str(caught.value) == f"parentheses nest deeper than {MAX_DEPTH} (at position {MAX_DEPTH + 1})"
+        assert _input_error(parse, source) == message
+    assert _input_error(parse_arith, "(" * (MAX_DEPTH + 1) + "$") == (
+        f"parentheses nest deeper than {MAX_DEPTH} (at position {MAX_DEPTH + 1})")
 
 
 def test_first_fault_in_reading_order_is_reported():
     """Tokens are scanned as the parser reads them, so a bad character
     after the first fault is never reached."""
-    with pytest.raises(GuardTypeError) as caught:
-        parse_guard("i i $")
-    assert str(caught.value).endswith("found 'i' at position 3")
-    with pytest.raises(ExpressionSyntaxError) as caught:
-        parse_arith("i ) $")
-    assert str(caught.value) == "unexpected trailing ')' (at position 3)"
-    with pytest.raises(ExpressionSyntaxError) as caught:
-        parse_arith("mod $")
-    assert str(caught.value) == "unexpected keyword 'mod' (at position 1)"
+    assert _input_error(parse_guard, "i i $") == (
+        "guard requires a comparison (==, !=, <, <=) but found 'i' at position 3")
+    assert _input_error(parse_arith, "i ) $") == "unexpected trailing ')' (at position 3)"
+    assert _input_error(parse_arith, "mod $") == "unexpected keyword 'mod' (at position 1)"
     # A comparison's operands have MAX_DEPTH - 1 levels of room, so this one
     # is too deep at its last '+', before the missing comparison is reached.
-    with pytest.raises(ExpressionSyntaxError) as caught:
-        parse_guard("+".join(["i"] * MAX_DEPTH) + " $")
-    assert str(caught.value) == f"expression nests deeper than {MAX_DEPTH} levels (at position 1)"
+    assert _input_error(parse_guard, "+".join(["i"] * MAX_DEPTH) + " $") == (
+        f"expression nests deeper than {MAX_DEPTH} levels (at position 1)")
 
 
 def _evaluation(evaluate, i):
@@ -268,26 +239,25 @@ def test_parse_program_guard_null_is_absent():
 
 
 def test_parse_program_unknown_identifier():
-    with pytest.raises(UnknownIdentifierError):
-        parse_program('{"name":"bad","value":"2*j","cost":"1"}')
+    assert _input_error(parse_program, '{"name":"bad","value":"2*j","cost":"1"}') == (
+        "unknown identifier 'j' (at position 3); only 'i' is bound")
 
 
-@pytest.mark.parametrize(
-    "source",
-    [
-        "not json at all",
-        "[1, 2]",
-        '{"name":"x","value":"i"}',  # missing cost
-        '{"value":"i","cost":"1"}',  # missing name
-        '{"name":"x","value":"i","cost":"1","extra":true}',
-        '{"name":"x","value":42,"cost":"1"}',
-        '{"name":"","value":"i","cost":"1"}',
-        '{"name":"x","value":"i","cost":"1","guard":7}',
-    ],
-)
+MALFORMED = {
+    "not json at all": "invalid JSON: Expecting value (line 1, column 1)",
+    "[1, 2]": "program document must be a JSON object",
+    '{"name":"x","value":"i"}': "missing key: cost",
+    '{"value":"i","cost":"1"}': "missing key: name",
+    '{"name":"x","value":"i","cost":"1","extra":true}': "unknown keys: extra",
+    '{"name":"x","value":42,"cost":"1"}': "key 'value' must be a string",
+    '{"name":"","value":"i","cost":"1"}': "name '' is not an identifier",
+    '{"name":"x","value":"i","cost":"1","guard":7}': "key 'guard' must be a string or null",
+}
+
+
+@pytest.mark.parametrize("source", list(MALFORMED))
 def test_parse_program_rejects_malformed(source):
-    with pytest.raises(ProgramError):
-        parse_program(source)
+    assert _input_error(parse_program, source) == MALFORMED[source]
 
 
 # --- fuzzing: only documented errors ---------------------------------------
@@ -317,7 +287,7 @@ def test_expression_parsers_raise_only_expression_errors(source):
     for parse in (parse_arith, parse_guard):
         try:
             parse(source)
-        except ExpressionError:
+        except InputError:
             pass
 
 
@@ -341,7 +311,7 @@ def test_parse_trees_equal_only_when_alike():
 def test_parse_program_raises_only_documented_errors(source):
     try:
         parse_program(source)
-    except (ProgramError, ExpressionError):
+    except InputError:
         pass
 
 
@@ -438,8 +408,9 @@ def test_dovetail_cost_below_one_rejected():
 
 def test_dovetail_overflow_reports_input():
     prog = parse_program('{"name":"boom","value":"(i+1)*18446744073709551615","cost":"1"}')
-    with pytest.raises(CheckedOverflowError) as exc:
+    with pytest.raises(EvaluationError) as exc:
         dovetail(prog, k=2, round_cap=10)
+    assert str(exc.value) == "overflow beyond 64 bits while evaluating '(i+1)*18446744073709551615' at i=1"
     assert exc.value.input_value == 1
 
 
@@ -481,15 +452,15 @@ def test_schedule_max_first():
 
 
 def test_schedule_choice_out_of_range_reports_step():
-    with pytest.raises(ChoiceError) as exc:
+    with pytest.raises(InputError) as exc:
         schedule([0, 1, 2], Scheduler("explicit", window=2, choices=(0, 5, 0)), k=3)
-    assert exc.value.step == 2
+    assert str(exc.value) == "step 2: choice 5 out of range for buffer of size 2"
 
 
 def test_schedule_missing_choice_reports_step():
-    with pytest.raises(ChoiceError) as exc:
+    with pytest.raises(InputError) as exc:
         schedule([0, 1, 2], Scheduler("explicit", window=2, choices=(0,)), k=3)
-    assert exc.value.step == 2
+    assert str(exc.value) == "step 2: no choice supplied"
 
 
 def test_schedule_insufficient_prefix():
@@ -504,6 +475,16 @@ def test_scheduler_validation():
         Scheduler("native", window=0)
     with pytest.raises(ValueError):
         Scheduler("min_first", window=2, choices=(0,))
+    with pytest.raises(InputError) as exc:
+        Scheduler("explicit", window=2, choices=(0, -1))
+    assert str(exc.value) == "choices must be naturals"
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_schedule_rejects_k_below_one(k):
+    with pytest.raises(InputError) as exc:
+        schedule([0, 1, 2], Scheduler("native"), k=k)
+    assert str(exc.value) == f"k must be >= 1, got {k}"
 
 
 def test_schedule_min_first_full_window_sorts():
