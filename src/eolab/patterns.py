@@ -22,6 +22,7 @@ Everything here is an immutable value and every function is pure.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -131,14 +132,35 @@ def eo_leq(p: OrderPattern, q: OrderPattern) -> bool:
 
 def _first_violation(p: OrderPattern, q: OrderPattern) -> tuple[int, int] | None:
     """Least index pair, in lexicographic order, that is an ascent of p but
-    an inversion of q; None exactly when p ≤eo q."""
+    an inversion of q; None exactly when p ≤eo q.
+
+    Positions are visited in increasing q-rank.  Invariant: ``kept`` holds,
+    ascending, the visited positions that no visited position dominates (lies
+    further right with a larger p-rank), and ``lows`` their negated p-ranks,
+    which then ascend too.  So row i violates exactly when the first kept
+    position right of i has a larger p-rank, and such a row is never kept.
+    Typically O(n log n) time and O(n) memory; a reversal against itself
+    inserts every position at the front, O(n²) element moves.
+    """
     if len(p.ranks) != len(q.ranks):
         raise InputError(f"length mismatch: {len(p.ranks)} vs {len(q.ranks)}")
-    diff = p.ascent_mask & ~q.ascent_mask
-    if not diff:
+    a, b, n = p.ranks, q.ranks, len(p.ranks)
+    kept: list[int] = []
+    lows: list[int] = []
+    least = n  # the least violating row seen so far
+    for i in sorted(range(n), key=b.__getitem__):
+        right, low = bisect_right(kept, i), -a[i]
+        if right < len(kept) and lows[right] < low:
+            if i < least:
+                least = i
+            continue
+        # i dominates the kept positions left of it with smaller p-ranks.
+        left = bisect_left(lows, low, 0, right)
+        kept[left:right] = [i]
+        lows[left:right] = [low]
+    if least == n:
         return None
-    # Row i of a mask starts at bit i * 8 * width (see ``ascent_mask``).
-    return divmod((diff & -diff).bit_length() - 1, 8 * ((len(p.ranks) + 7) // 8))
+    return least, next(j for j in range(least + 1, n) if a[j] > a[least] and b[j] < b[least])
 
 
 def _ascent_rows(p: OrderPattern) -> Iterator[bytes]:

@@ -61,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError, InsufficientEnumerationError, clip
-from .patterns import ListingPrefix, OrderPattern, eo_leq, pattern_of, uniform
+from .patterns import ListingPrefix, OrderPattern, _first_violation, pattern_of, uniform
 from .vm import DovetailTrace, EnumeratorProgram, Scheduler, dovetail, schedule
 
 #: Most nodes a search may explore.  B's frontiers keep at most one
@@ -365,7 +365,7 @@ def witness(
             for trace, c in ((trace_a, choices_a), (trace_b, choices_b))
         )
         pat_a, pat_b = pattern_of(prefix_a), pattern_of(prefix_b)
-        holds = eo_leq(pat_a, pat_b) if relation == "eo_leq" else uniform(pat_a, pat_b)
+        holds = _first_violation(pat_a, pat_b) is None if relation == "eo_leq" else uniform(pat_a, pat_b)
         if not holds:
             raise AssertionError("witness failed replay validation")
         fields = dict(

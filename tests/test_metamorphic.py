@@ -2,7 +2,7 @@
 
 Each test transforms its input in a way whose effect on the answer is
 known from the definitions, and needs no reference: the witness walk at
-k up to 300, ``cmp``'s verdict on sequences up to length 2,000, and the
+k up to 300, ``cmp``'s verdict on sequences up to length 5,000, and the
 poset's cover edges at every length up to 8.
 Cases come from seeded generators, and each test counts the cases that
 decide something, so a generator that drifts into vacuous cases fails.
@@ -115,12 +115,12 @@ def test_eo_status_survives_complementing_and_swapping():
 
 
 def _sequence_pairs(seed: int, count: int):
-    # Equal-length sequences of distinct naturals, up to length 2,000: q is
+    # Equal-length sequences of distinct naturals, up to length 5,000: q is
     # p with a few pairs of adjacent values exchanged, so p and q are
     # often comparable, one way or both.
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(2, 2_000)
+        n = rng.randint(2, 5_000)
         p = rng.sample(range(2 * n), n)
         ranked = sorted(range(n), key=p.__getitem__)  # positions by value
         q = list(p)

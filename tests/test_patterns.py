@@ -7,6 +7,7 @@ pairs and share no code with the module under test.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -263,10 +264,37 @@ def test_eo_leq_agrees_with_oracle_on_long_patterns(pair):
 
 @given(pattern_pairs(min_n=9, max_n=70))
 def test_first_violation_agrees_with_double_loop(pair):
-    # Above length 8 each mask row spans several bytes.
+    # Longer than the exhaustive check reaches; half the pairs comparable.
     p, q = pair
     assert _first_violation(p, q) == direct_first_violation(p.ranks, q.ranks)
     assert _first_violation(q, p) == direct_first_violation(q.ranks, p.ranks)
+
+
+def test_first_violation_on_the_sweeps_extreme_orders():
+    # A reversal against itself inserts every position at the front of the
+    # kept list; identity and reversal keep one position or violate at
+    # every row; a shuffle mixes both.
+    rng = random.Random(34)
+    for n in range(1, 301):
+        identity, reversal = tuple(range(n)), tuple(range(n - 1, -1, -1))
+        shuffled = tuple(rng.sample(range(n), n))
+        for p, q in ((reversal, reversal), (identity, reversal), (identity, shuffled)):
+            for left, right in ((p, q), (q, p)):
+                got = _first_violation(OrderPattern(left), OrderPattern(right))
+                assert got == direct_first_violation(left, right), (n, left, right)
+
+
+def test_first_violation_at_length_20000_builds_no_mask():
+    # Identity against identity with positions 4,999 and 15,000 swapped:
+    # row 4,999 is the first to fall, against position 5,000.  The sweep
+    # keeps O(n) memory, so neither pattern builds its n²-bit ascent mask.
+    n = 20_000
+    swapped = list(range(n))
+    swapped[4_999], swapped[15_000] = swapped[15_000], swapped[4_999]
+    p, q = OrderPattern(tuple(range(n))), OrderPattern(tuple(swapped))
+    assert _first_violation(p, q) == (4_999, 5_000)
+    assert _first_violation(q, p) is None
+    assert "ascent_mask" not in vars(p) and "ascent_mask" not in vars(q)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
