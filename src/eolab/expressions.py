@@ -44,9 +44,9 @@ def _syntax_error(message: str, position: int) -> InputError:
 
 # --- AST ------------------------------------------------------------------
 #
-# NamedTuples, which compare as plain tuples, so no two kinds may share a
-# shape: _Nat and _Var differ in length, and the three binary kinds in their
-# op sets.  Tokens are plain tuples, which are cheaper to build.
+# NamedTuples, which compare as plain tuples, and differ in length.  One
+# binary node serves arithmetic, comparisons and connectives alike: its op
+# says which.  Tokens are plain tuples, which are cheaper to build.
 
 
 class _Nat(NamedTuple):
@@ -57,28 +57,13 @@ class _Var(NamedTuple):
     pass
 
 
-class _Arith(NamedTuple):
-    op: str  # + - * mod
-    left: "_ArithNode"
-    right: "_ArithNode"
+class _Binary(NamedTuple):
+    op: str  # + - * mod, == != < <=, and or
+    left: "_Node"
+    right: "_Node"
 
 
-_ArithNode = Union[_Nat, _Var, _Arith]
-
-
-class _Compare(NamedTuple):
-    op: str  # == != < <=
-    left: _ArithNode
-    right: _ArithNode
-
-
-class _Logic(NamedTuple):
-    op: str  # and or
-    left: "_BoolNode"
-    right: "_BoolNode"
-
-
-_BoolNode = Union[_Compare, _Logic]
+_Node = Union[_Nat, _Var, _Binary]
 
 
 # --- tokenizer ------------------------------------------------------------
@@ -136,7 +121,7 @@ class _Parser:
     def advance(self) -> None:
         self.kind, self.text, self.position = next(self.tokens)
 
-    def chain(self, operand: Callable[[int], tuple], ops: tuple[str, ...], kind, room: int) -> tuple:
+    def chain(self, operand: Callable[[int], tuple], ops: tuple[str, ...], room: int) -> tuple:
         """``operand (op operand)*`` for ``op`` in ``ops``, joined to the left."""
         left = operand(room)
         while (op := self.text) in ops:
@@ -144,10 +129,10 @@ class _Parser:
                 raise _syntax_error(f"expression nests deeper than {MAX_DEPTH} levels", 1)
             self.advance()
             right = operand(room - 1)
-            left = kind(op, left[0], right[0]), max(left[1], right[1]) + 1
+            left = _Binary(op, left[0], right[0]), max(left[1], right[1]) + 1
         return left
 
-    def factor(self, room: int) -> tuple[_ArithNode, int]:
+    def factor(self, room: int) -> tuple[_Node, int]:
         text = self.text
         if text == "(":
             self.nesting += 1
@@ -177,13 +162,13 @@ class _Parser:
         self.advance()
         return node, 1
 
-    def term(self, room: int) -> tuple[_ArithNode, int]:
-        return self.chain(self.factor, ("*", "mod"), _Arith, room)
+    def term(self, room: int) -> tuple[_Node, int]:
+        return self.chain(self.factor, ("*", "mod"), room)
 
-    def expr(self, room: int) -> tuple[_ArithNode, int]:
-        return self.chain(self.term, ("+", "-"), _Arith, room)
+    def expr(self, room: int) -> tuple[_Node, int]:
+        return self.chain(self.term, ("+", "-"), room)
 
-    def comparison(self, room: int) -> tuple[_Compare, int]:
+    def comparison(self, room: int) -> tuple[_Binary, int]:
         left, left_height = self.expr(room - 1)
         op = self.text
         if op not in _CMP_OPS:
@@ -193,13 +178,13 @@ class _Parser:
             )
         self.advance()
         right, right_height = self.expr(room - 1)
-        return _Compare(op, left, right), max(left_height, right_height) + 1
+        return _Binary(op, left, right), max(left_height, right_height) + 1
 
-    def conj(self, room: int) -> tuple[_BoolNode, int]:
-        return self.chain(self.comparison, ("and",), _Logic, room)
+    def conj(self, room: int) -> tuple[_Binary, int]:
+        return self.chain(self.comparison, ("and",), room)
 
-    def guard(self, room: int) -> tuple[_BoolNode, int]:
-        return self.chain(self.conj, ("or",), _Logic, room)
+    def guard(self, room: int) -> tuple[_Binary, int]:
+        return self.chain(self.conj, ("or",), room)
 
     def expect_end(self) -> None:
         if self.text:
@@ -230,7 +215,7 @@ def _constant(value: int) -> Callable[[int], int]:
     return lambda i: value
 
 
-def _operand(node: _ArithNode, source: str) -> Union[int, Callable[[int], int]]:
+def _operand(node: _Node, source: str) -> Union[int, Callable[[int], int]]:
     return node.value if isinstance(node, _Nat) else _compile_arith(node, source)
 
 
@@ -342,7 +327,7 @@ def _mod(left, right, source: str) -> Callable[[int], int]:
 _ARITH = {"+": _add, "-": _sub, "*": _mul, "mod": _mod}
 
 
-def _compile_arith(node: _ArithNode, source: str) -> Callable[[int], int]:
+def _compile_arith(node: _Node, source: str) -> Callable[[int], int]:
     if isinstance(node, _Nat):
         return _constant(node.value)
     if isinstance(node, _Var):
@@ -364,8 +349,8 @@ _COMPARE = {
 }
 
 
-def _compile_bool(node: _BoolNode, source: str) -> Callable[[int], bool]:
-    if isinstance(node, _Compare):
+def _compile_bool(node: _Binary, source: str) -> Callable[[int], bool]:
+    if node.op in _COMPARE:
         left = _compile_arith(node.left, source)
         right = _operand(node.right, source)
         computed, literal, reflected = _COMPARE[node.op]
@@ -379,38 +364,27 @@ def _compile_bool(node: _BoolNode, source: str) -> Callable[[int], bool]:
 
 
 @dataclass(frozen=True)
-class ArithExpr:
-    """A parsed arithmetic expression over the variable i.
+class Expression:
+    """A parsed expression over the variable i: arithmetic from
+    ``parse_arith``, boolean from ``parse_guard``.
 
     ``evaluate(i)`` runs the closure compiled from it at parse time.
     """
 
     source: str
-    root: _ArithNode
+    root: _Node
     evaluate: Callable[[int], int] = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class GuardExpr:
-    """A parsed boolean expression over the variable i.
-
-    ``evaluate(i)`` runs the closure compiled from it at parse time.
-    """
-
-    source: str
-    root: _BoolNode
-    evaluate: Callable[[int], bool] = field(compare=False, repr=False)
-
-
-def parse_arith(source: str) -> ArithExpr:
+def parse_arith(source: str) -> Expression:
     parser = _Parser(source)
     root, _ = parser.expr(MAX_DEPTH)
     parser.expect_end()
-    return ArithExpr(source, root, _compile_arith(root, source))
+    return Expression(source, root, _compile_arith(root, source))
 
 
-def parse_guard(source: str) -> GuardExpr:
+def parse_guard(source: str) -> Expression:
     parser = _Parser(source)
     root, _ = parser.guard(MAX_DEPTH)
     parser.expect_end()
-    return GuardExpr(source, root, _compile_bool(root, source))
+    return Expression(source, root, _compile_bool(root, source))

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from . import patterns as fast
 from .errors import EvaluationError, InputError, InsufficientPrefixError, NoAntichainError, clip
-from .expressions import MAX_VALUE, _ArithNode, _BoolNode, _Compare, _Nat, _Var
+from .expressions import MAX_VALUE, _Binary, _Nat, _Node, _Var
 from .poset import build_poset
 from .search import SearchBudget, WitnessReport, native_traces
 from .vm import DovetailTrace, EnumeratorProgram, Scheduler
@@ -219,8 +219,8 @@ def check_theorem3_finite(n: int, support: Iterable[int]) -> OracleReport:
     failures = []
     for p in itertools.permutations(range(n)):
         realized = fast.apply_pattern(fast.OrderPattern(p), prefix)
-        if not _direct_uniform(p, realized.elements):
-            failures.append({"pattern": list(p), "realized": list(realized.elements)})
+        if not _direct_uniform(p, realized):
+            failures.append({"pattern": list(p), "realized": list(realized)})
     m = math.factorial(n)
     params = {"n": n, "support": support_values}
     return OracleReport("theorem3", params, m, tuple(failures), relation_tests=m)
@@ -297,7 +297,7 @@ def brute_force_antichain(n: int, size: int) -> tuple[tuple[int, ...], ...]:
 # ``expressions`` compiles each expression into.
 
 
-def _eval_arith(node: _ArithNode, i: int, source: str) -> int:
+def _eval_arith(node: _Node, i: int, source: str) -> int:
     if isinstance(node, _Nat):
         return node.value
     if isinstance(node, _Var):
@@ -319,20 +319,20 @@ def _eval_arith(node: _ArithNode, i: int, source: str) -> int:
     return result
 
 
-def _eval_bool(node: _BoolNode, i: int, source: str) -> bool:
-    if isinstance(node, _Compare):
-        left = _eval_arith(node.left, i, source)
-        right = _eval_arith(node.right, i, source)
-        if node.op == "==":
-            return left == right
-        if node.op == "!=":
-            return left != right
-        if node.op == "<":
-            return left < right
-        return left <= right
+def _eval_bool(node: _Binary, i: int, source: str) -> bool:
     if node.op == "and":
         return _eval_bool(node.left, i, source) and _eval_bool(node.right, i, source)
-    return _eval_bool(node.left, i, source) or _eval_bool(node.right, i, source)
+    if node.op == "or":
+        return _eval_bool(node.left, i, source) or _eval_bool(node.right, i, source)
+    left = _eval_arith(node.left, i, source)
+    right = _eval_arith(node.right, i, source)
+    if node.op == "==":
+        return left == right
+    if node.op == "!=":
+        return left != right
+    if node.op == "<":
+        return left < right
+    return left <= right
 
 
 def brute_force_dovetail(prog: EnumeratorProgram, k: int, round_cap: int) -> DovetailTrace:

@@ -183,15 +183,16 @@ def eo_equiv(p: OrderPattern, q: OrderPattern) -> bool:
     return eo_leq(p, q) and eo_leq(q, p)
 
 
-def apply_pattern(p: OrderPattern, support: ListingPrefix | Iterable[int]) -> ListingPrefix:
+def apply_pattern(p: OrderPattern, support: ListingPrefix | Iterable[int]) -> tuple[int, ...]:
     """The unique arrangement of ``support`` whose pattern is ``p``.
 
     Position i carries the element of rank ``p.ranks[i]`` in
     sorted(support), so ``pattern_of(apply_pattern(p, s)) == p``.  Any other
     support is checked as a ``ListingPrefix`` first, so a bad value is named
-    at its position in the support, before any length mismatch.
+    at its position in the support, before any length mismatch.  The result
+    is a plain tuple: a permutation of a checked support needs no check.
 
-    >>> apply_pattern(OrderPattern((1, 0, 2)), {4, 8, 15}).elements
+    >>> apply_pattern(OrderPattern((1, 0, 2)), {4, 8, 15})
     (8, 4, 15)
     """
     if not isinstance(support, ListingPrefix):
@@ -200,4 +201,4 @@ def apply_pattern(p: OrderPattern, support: ListingPrefix | Iterable[int]) -> Li
     if len(values) != len(p.ranks):
         raise InputError(f"length mismatch: {len(p.ranks)} vs {len(values)}")
     ordered = sorted(values)
-    return ListingPrefix(tuple(ordered[r] for r in p.ranks))
+    return tuple(ordered[r] for r in p.ranks)

@@ -64,8 +64,8 @@ from .errors import InputError, InsufficientEnumerationError, clip
 from .patterns import ListingPrefix, OrderPattern, _first_violation, pattern_of, uniform
 from .vm import DovetailTrace, EnumeratorProgram, Scheduler, dovetail, schedule
 
-#: Most nodes a search may explore.  B's frontiers keep at most one
-#: prefix per node, so this bounds their memory too (see the README).
+#: Most nodes a search may explore.  It bounds how many prefixes B's
+#: frontiers keep (one per node), not their bytes (see the README).
 MAX_NODES = 10**7
 
 #: Fixed restriction statement carried by every report.

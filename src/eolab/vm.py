@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import EvaluationError, InputError, InsufficientPrefixError, clip
-from .expressions import ArithExpr, GuardExpr, parse_arith, parse_guard
+from .expressions import Expression, parse_arith, parse_guard
 from .patterns import ListingPrefix
 
 SCHEDULER_KINDS = ("native", "min_first", "max_first", "explicit")
@@ -35,9 +35,9 @@ class EnumeratorProgram:
     """A named partial function with explicit halting costs."""
 
     name: str
-    value: ArithExpr
-    cost: ArithExpr
-    guard: GuardExpr | None = None
+    value: Expression
+    cost: Expression
+    guard: Expression | None = None
 
 
 def parse_program(source: str) -> EnumeratorProgram:

@@ -2,8 +2,9 @@
 
 Each test transforms its input in a way whose effect on the answer is
 known from the definitions, and needs no reference: the witness walk at
-k up to 300, ``cmp``'s verdict on sequences up to length 5,000, and the
-poset's cover edges at every length up to 8.
+k up to 300, ``cmp``'s verdict on sequences up to length 5,000, the
+poset's cover edges at every length up to 8, and ``run`` through the CLI
+on a program whose value v becomes M - (v).
 Cases come from seeded generators, and each test counts the cases that
 decide something, so a generator that drifts into vacuous cases fails.
 Every witness the walk returns is also replayed and re-checked.
@@ -11,15 +12,22 @@ Every witness the walk returns is also replayed and re-checked.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import sys
 
 import pytest
 
+from conftest import PROGRAMS
 from eolab.cli import main
 from eolab.patterns import _first_violation, eo_leq, pattern_of, uniform
 from eolab.poset import build_poset
 from eolab.search import SearchBudget, _walk
 from eolab.vm import Scheduler, schedule
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+from workloads import _program  # noqa: E402
 
 
 def _listing(rng: random.Random, k: int) -> tuple[int, ...]:
@@ -175,3 +183,65 @@ def test_cover_edges_survive_reverse_complement(n):
     image = [index[tuple(n - 1 - r for r in reversed(p.ranks))] for p in poset.nodes]
     edges = set(poset.hasse)
     assert {(image[a], image[b]) for a, b in edges} == edges
+
+
+# --- run, complemented ------------------------------------------------------
+#
+# Dovetail order depends only on cost and guard, and v -> M - v is injective
+# on every value, so the complement of a program keeps its halting rounds
+# and its first emissions, and reverses the order of its values.
+
+M = 2**64 - 1
+
+
+def _program_docs(rng: random.Random, count: int) -> list[dict]:
+    # The fixture programs, then ``count`` from the benchmark's families.
+    docs = [json.loads(path.read_text()) for path in sorted(PROGRAMS.glob("*.json"))]
+    for j in range(count):
+        family = ("reach", "guarded", "repeat")[j % 3]
+        docs.append({**_program(rng, family, rng.randint(2, 5)), "name": f"{family}{j}"})
+    return docs
+
+
+def _run(capsys, path, k, cap, schedule):
+    argv = ["run", "--program", path, "--k", k, "--round-cap", cap, "--format", "json", "--stats", *schedule]
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _mirrored(original, complement) -> bool:
+    # Whether the case decided something: exit 0 with values emitted.
+    code, out, err = original
+    assert complement[0] == code, (original, complement)
+    if code:
+        return False
+    a, b = json.loads(out), json.loads(complement[1])
+    n = len(a["emitted"])
+    assert b["emitted"] == [M - v for v in a["emitted"]]
+    assert b["pattern"] == (a["pattern"] and [n - 1 - r for r in a["pattern"]])
+    assert (b["rounds"], b["truncated"]) == (a["rounds"], a["truncated"])
+    assert complement[2] == err  # the --stats counters
+    return n > 0
+
+
+def test_run_on_complemented_program_mirrors_the_listing(tmp_path, capsys):
+    rng = random.Random(2024)
+    decided = []
+    for j, doc in enumerate(_program_docs(rng, 30)):
+        original, complement = tmp_path / f"p{j}.json", tmp_path / f"c{j}.json"
+        original.write_text(json.dumps(doc))
+        complement.write_text(json.dumps({**doc, "value": f"{M} - ({doc['value']})"}))
+        for _ in range(4):
+            k, w = rng.randint(1, 300), rng.randint(1, 8)
+            cap = rng.choice((k, 1000))
+            choices = ",".join(str(rng.randrange(min(w, k - t))) for t in range(k))
+            pairs = [((), ())]
+            pairs += [(("--schedule", kind, "--window", w), ("--schedule", mirror, "--window", w))
+                      for kind, mirror in (("max_first", "min_first"), ("min_first", "max_first"))]
+            explicit = ("--schedule", "explicit", "--window", w, "--choices", choices)
+            pairs.append((explicit, explicit))
+            for left, right in pairs:
+                decided.append(_mirrored(_run(capsys, original, k, cap, left),
+                                         _run(capsys, complement, k, cap, right)))
+    assert sum(decided) >= 350 and decided.count(False) >= 100, sum(decided)  # 401 of 608

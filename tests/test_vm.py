@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eolab.errors import InputError
-from eolab.expressions import MAX_DEPTH, MAX_VALUE, EvaluationError, GuardExpr, parse_arith, parse_guard
+from eolab.expressions import MAX_DEPTH, MAX_VALUE, EvaluationError, parse_arith, parse_guard
 from eolab.oracle import _eval_arith, _eval_bool, brute_force_schedule
 from eolab.patterns import pattern_of
 from eolab.vm import InsufficientPrefixError, Scheduler, dovetail, parse_program, schedule
@@ -156,7 +156,7 @@ def _evaluation(evaluate, i):
 
 
 def _tree_walk(expr):
-    walk = _eval_bool if isinstance(expr, GuardExpr) else _eval_arith
+    walk = _eval_bool if getattr(expr.root, "op", None) in ("==", "!=", "<", "<=", "and", "or") else _eval_arith
     return lambda i: walk(expr.root, i, expr.source)
 
 
