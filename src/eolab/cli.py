@@ -8,10 +8,10 @@ output (a pipe whose reader quit, a full device or a closed fd 1).
 Output goes to stdout, diagnostics to stderr; identical invocations
 produce byte-identical output.
 
-``main`` may be called any number of times in one process.  The argument
-parser is built on the first call and reused by every later one; each call
-looks its subcommand's handler up by name.  This module imports no layer:
-each handler imports the layers it runs, so a launch loads only those.
+``main`` may be called any number of times in one process.  Each subcommand
+has its own parser, built on first use and reused; the full parser is built
+only for top-level help and errors.  This module imports no layer: each
+handler, looked up by name, imports those it runs, so a launch loads only those.
 """
 
 from __future__ import annotations
@@ -114,15 +114,14 @@ def _text(doc: dict) -> str:
     return "".join(pieces)
 
 
-def _join_pairs(p, opening: str, closing: str, sep: str) -> tuple[str, str]:
-    """The ascents and the inversions of the pattern ``p``, each index pair (i, j)
+def _join_pairs(n: int, ascent_rows, opening: str, closing: str, sep: str) -> tuple[str, str]:
+    """The ascents and the inversions of a length-n pattern, each index pair (i, j)
     as ``{opening}{i},{j}{closing}``, joined by ``sep`` in lexicographic order.
-    Each row is selected in C by the digits of ``p.ascent_mask``, never compared."""
-    from .patterns import _ascent_rows
-    tokens = [f"{j}{closing}" for j in range(len(p.ranks))]
+    Each row is selected in C by its digits from ``patterns._ascent_rows``, never compared."""
+    tokens = [f"{j}{closing}" for j in range(n)]
     up, down = [], []
     picks = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"01", b"\1\0")  # up keeps 1s, down 0s
-    for i, digits in enumerate(_ascent_rows(p)):
+    for i, digits in enumerate(ascent_rows):
         head, later = f"{opening}{i},", tokens[i + 1 :]
         for rows, pick in zip((up, down), picks):
             if body := (sep + head).join(compress(later, digits.translate(pick))):
@@ -151,7 +150,7 @@ def _cmd_pattern(args) -> tuple[int, str]:
         raise InputError(f"sequence: at most {MAX_PATTERN_LENGTH} elements, got {len(sequence)}")
     p = patterns.pattern_of(sequence)
     opening, closing, sep = ("[", "]", ",") if args.format == "json" else ("(", ")", " ")
-    up, down = _join_pairs(p, opening, closing, sep)
+    up, down = _join_pairs(len(p.ranks), patterns._ascent_rows(p), opening, closing, sep)
     if args.format == "json":
         # What _dump_json gives for {"pattern", "ascents", "inversions"}.
         doc = f'{{"ascents":[{up}],"inversions":[{down}],"pattern":[{_fmt_seq(p.ranks)}]}}'
@@ -320,76 +319,80 @@ def _cmd_check(args) -> tuple[int, str]:
 # --- parser -----------------------------------------------------------------
 
 
+#: Each subcommand's line in the full parser's help, and what its --stats prints.
+_COMMANDS = {
+    "pattern": ("pattern, ascents and inversions of a sequence", None),
+    "cmp": ("compare two equal-length sequences", None),
+    "poset": ("pattern poset, chains and antichains", "node, edge and search counts"),
+    "run": ("dovetail a program, optionally rescheduled", "the dovetailer's counters"),
+    "search": ("bounded witness search between two programs", "the search's counters"),
+    "check": ("run an exhaustive oracle suite", "the suite's counts"),
+}
+
+
+def _declare(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """Add ``command``'s arguments to ``p``: the one spec both its parsers are built from."""
+    add = p.add_argument
+    if command != "poset":
+        add("--format", choices=["text", "json"], default="text")
+    if command == "pattern":
+        add("sequence", help="comma-separated distinct naturals")
+    elif command == "cmp":
+        add("--left", required=True)
+        add("--right", required=True)
+    elif command == "poset":
+        add("--n", type=_int, required=True)
+        add("--format", choices=["text", "json", "dot"], default="text")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--chain", action="store_true", help="emit a maximum chain")
+        group.add_argument("--antichain", type=_int, metavar="SIZE")
+    elif command == "run":
+        add("--program", required=True, help="program JSON file")
+        add("--k", type=_int, required=True)
+        add("--round-cap", type=_int, default=1000, dest="round_cap")
+        add("--schedule", choices=["native", "min_first", "max_first", "explicit"])
+        add("--window", type=_int, help="buffer size (default 1)")
+        add("--choices", help="comma-separated buffer choices (explicit)")
+    elif command == "search":
+        add("--a", required=True, help="program JSON file")
+        add("--b", required=True, help="program JSON file")
+        add("--k", type=_int, required=True)
+        add("--window", type=_int, required=True)
+        add("--relation", choices=["eo", "uniform"], default="eo")
+        add("--max-nodes", type=_int, default=100_000, dest="max_nodes")
+        add("--round-cap", type=_int, default=1000, dest="round_cap")
+    else:
+        add("--suite", required=True, choices=["preorder", "inversion", "theorem10", "theorem3", "hasse"])
+        add("--n", type=_int, required=True)
+        add("--support", help="comma-separated naturals (theorem3 only)")
+    if counts := _COMMANDS[command][1]:
+        add("--stats", action="store_true", help=f"print {counts} as JSON on stderr")
+    return p
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process and shared: do not modify it."""
-    parser = _Parser(
-        prog="eolab",
-        description="Workbench for enumeration-order relations on finite listing prefixes.",
-    )
+    """The full parser, for top-level help and errors; shared: do not modify it."""
+    parser = _Parser(prog="eolab", description="Workbench for enumeration-order relations on finite listing prefixes.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=["text", "json"], default="text")
-
-    p_pattern = sub.add_parser(
-        "pattern", parents=[fmt], help="pattern, ascents and inversions of a sequence"
-    )
-    p_pattern.add_argument("sequence", help="comma-separated distinct naturals")
-
-    p_cmp = sub.add_parser("cmp", parents=[fmt], help="compare two equal-length sequences")
-    p_cmp.add_argument("--left", required=True)
-    p_cmp.add_argument("--right", required=True)
-
-    p_poset = sub.add_parser("poset", help="pattern poset, chains and antichains")
-    p_poset.add_argument("--n", type=_int, required=True)
-    p_poset.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    group = p_poset.add_mutually_exclusive_group()
-    group.add_argument("--chain", action="store_true", help="emit a maximum chain")
-    group.add_argument("--antichain", type=_int, metavar="SIZE")
-
-    p_run = sub.add_parser("run", parents=[fmt], help="dovetail a program, optionally rescheduled")
-    p_run.add_argument("--program", required=True, help="program JSON file")
-    p_run.add_argument("--k", type=_int, required=True)
-    p_run.add_argument("--round-cap", type=_int, default=1000, dest="round_cap")
-    p_run.add_argument("--schedule", choices=["native", "min_first", "max_first", "explicit"])
-    p_run.add_argument("--window", type=_int, help="buffer size (default 1)")
-    p_run.add_argument("--choices", help="comma-separated buffer choices (explicit)")
-
-    p_search = sub.add_parser(
-        "search", parents=[fmt], help="bounded witness search between two programs"
-    )
-    p_search.add_argument("--a", required=True, help="program JSON file")
-    p_search.add_argument("--b", required=True, help="program JSON file")
-    p_search.add_argument("--k", type=_int, required=True)
-    p_search.add_argument("--window", type=_int, required=True)
-    p_search.add_argument("--relation", choices=["eo", "uniform"], default="eo")
-    p_search.add_argument("--max-nodes", type=_int, default=100_000, dest="max_nodes")
-    p_search.add_argument("--round-cap", type=_int, default=1000, dest="round_cap")
-
-    p_check = sub.add_parser("check", parents=[fmt], help="run an exhaustive oracle suite")
-    p_check.add_argument(
-        "--suite",
-        required=True,
-        choices=["preorder", "inversion", "theorem10", "theorem3", "hasse"],
-    )
-    p_check.add_argument("--n", type=_int, required=True)
-    p_check.add_argument("--support", help="comma-separated naturals (theorem3 only)")
-
-    for p_sub, counts in (
-        (p_poset, "node, edge and search counts"),
-        (p_run, "the dovetailer's counters"),
-        (p_search, "the search's counters"),
-        (p_check, "the suite's counts"),
-    ):
-        p_sub.add_argument("--stats", action="store_true", help=f"print {counts} as JSON on stderr")
+    for command, (line, _) in _COMMANDS.items():
+        _declare(sub.add_parser(command, help=line), command)
     return parser
 
 
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """``command``'s own parser, built alone as the full parser's would be; shared: do not modify it."""
+    return _declare(_Parser(prog=f"eolab {command}"), command)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv, extras = (sys.argv[1:] if argv is None else argv), True
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:  # one pass, by the subcommand's own parser
+            args, extras = _command_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:  # no subcommand first, or leftovers: the full parser's help and errors
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -18,7 +18,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eolab
-from eolab.cli import _EXITS, _MAX_ELEMENT_DIGITS, MAX_PATTERN_LENGTH, build_parser, main
+from eolab.cli import (
+    _COMMANDS,
+    _EXITS,
+    _MAX_ELEMENT_DIGITS,
+    MAX_PATTERN_LENGTH,
+    _command_parser,
+    build_parser,
+    main,
+)
 from eolab.expressions import MAX_LENGTH
 from eolab.oracle import brute_force_pair_sets
 from eolab.patterns import MAX_ELEMENT, OrderPattern, pattern_of
@@ -1028,9 +1036,10 @@ def test_unknown_subcommand_exit_2(capsys):
 
 
 def test_shared_parser_leaks_no_state(capsys):
-    """Calls through the one cached parser answer as a freshly built one does,
-    in any order."""
+    """Calls through the cached parsers answer as freshly built ones do, in
+    any order."""
     assert build_parser() is build_parser()
+    assert _command_parser("poset") is _command_parser("poset")
     search = ["search", "--a", prog("evens"), "--b", prog("countdown"), "--k", "3",
               "--window", "2"]
     argvs = [
@@ -1063,10 +1072,59 @@ def test_shared_parser_leaks_no_state(capsys):
     fresh = []
     for argv in argvs:
         build_parser.cache_clear()
+        _command_parser.cache_clear()
         fresh.append(answer(argv))
     assert {code for code, _, _ in fresh} == {0, 2}
     assert [answer(argv) for argv in argvs] == fresh
     assert [answer(argv) for argv in reversed(argvs)] == fresh[::-1]
+
+
+def test_a_call_builds_only_its_own_parser(capsys):
+    build_parser.cache_clear()
+    _command_parser.cache_clear()
+    assert main(["poset", "--n", "2"]) == 0
+    assert (_command_parser.cache_info().currsize, build_parser.cache_info().currsize) == (1, 0)
+    assert main(["frobnicate"]) == 2
+    assert build_parser.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_command_parser_help_matches_the_full_parser(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    assert _command_parser(command).format_help() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cmp", "--left", "0,1"],  # a required option left out
+        ["poset", "--n", "two"],  # a bad int
+        ["check", "--suite", "x" * 200, "--n", "2"],  # a bad choice, clipped
+        ["poset", "--n", "3", "--chain", "--antichain", "2"],  # mutually exclusive
+        ["poset", "--n", "2", "--", "--chain"],
+        ["pattern", "--", "--format", "json"],
+        ["poset", "--n", "3", "--ch", "--anti", "2"],  # abbreviated
+        ["search", "--r", "1"],  # an ambiguous abbreviation
+        ["poset", "--n", "2", "--bogus"],  # leftovers
+        ["pattern", "1,2", "3,4"],
+        ["--format", "json", "poset", "--n", "2"],  # an option before the subcommand
+        [],
+        ["frobnicate"],
+        ["--help"],
+        ["-h", "poset"],
+        ["poset", "-h", "--bogus"],
+    ],
+)
+def test_main_answers_as_the_full_parser_does(argv, monkeypatch, capsys):
+    """Whichever parser ``main`` uses, the exit code, help, usage and error
+    text are the full parser's."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    full = (exc.value.code, *capsys.readouterr())
+    assert invoke(capsys, *argv) == full
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,9 @@
 
 Each test transforms its input in a way whose effect on the answer is
 known from the definitions, and needs no reference: the witness walk at
-k up to 300, ``cmp``'s verdict on sequences up to length 5,000, the
-poset's cover edges at every length up to 8, and ``run`` through the CLI
-on a program whose value v becomes M - (v).
+k up to 300, ``cmp``'s verdict on sequences up to length 5,000 and on
+permutations of length 40,000, the poset's cover edges at every length up
+to 8, and ``run`` through the CLI on a program whose value v becomes M - (v).
 Cases come from seeded generators, and each test counts the cases that
 decide something, so a generator that drifts into vacuous cases fails.
 Every witness the walk returns is also replayed and re-checked.
@@ -21,7 +21,7 @@ import pytest
 
 from conftest import PROGRAMS
 from eolab.cli import main
-from eolab.patterns import _first_violation, eo_leq, pattern_of, uniform
+from eolab.patterns import OrderPattern, _first_violation, eo_leq, pattern_of, uniform
 from eolab.poset import build_poset
 from eolab.search import SearchBudget, _walk
 from eolab.vm import Scheduler, schedule
@@ -152,6 +152,35 @@ def test_cmp_verdict_survives_reversal_and_complement():
         assert leq == rev == comp, (len(p), leq, rev, comp)
         verdicts.append(leq)
     assert set(verdicts) == {True, False}
+
+
+def test_cmp_verdict_survives_reversal_and_complement_at_40000():
+    # In-process: a list this long on the command line hits E2BIG.  A
+    # permutation of range(n) is its own pattern.  Two shuffled pairs, then
+    # four where q is p with a few pairs of adjacent values exchanged; a
+    # reversal against itself, the sweep's O(n²) case, is left out.
+    # Complement keeps every violating pair, so the least one too; reversal
+    # maps (i, j) to (n - 1 - j, n - 1 - i).
+    n, rng = 40_000, random.Random(37)
+    pairs = [(rng.sample(range(n), n), rng.sample(range(n), n)) for _ in range(2)]
+    for _ in range(4):
+        p = rng.sample(range(n), n)
+        q = list(p)
+        for v in rng.sample(range(0, n - 1, 2), rng.randint(1, 3)):
+            i, j = q.index(v), q.index(v + 1)
+            q[i], q[j] = v + 1, v
+        pairs.append((p, q))
+    verdicts = []
+    for p, q in pairs:
+        violation = _first_violation(OrderPattern(p), OrderPattern(q))
+        rev = _first_violation(OrderPattern(q[::-1]), OrderPattern(p[::-1]))
+        comp = _first_violation(OrderPattern([n - 1 - x for x in q]), OrderPattern([n - 1 - x for x in p]))
+        assert comp == violation and (rev is None) == (violation is None), (violation, rev, comp)
+        mirrored = rev and (n - 1 - rev[1], n - 1 - rev[0])
+        for i, j in filter(None, (violation, mirrored)):  # an ascent of p, an inversion of q
+            assert i < j and p[i] < p[j] and q[i] > q[j], (i, j)
+        verdicts.append(violation is None)
+    assert verdicts[:2] == [False, False] and set(verdicts[2:]) == {True, False}, verdicts
 
 
 def test_cmp_cli_reversed_and_complemented(capsys):

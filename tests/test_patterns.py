@@ -19,6 +19,7 @@ from eolab.patterns import (
     MAX_ELEMENT,
     ListingPrefix,
     OrderPattern,
+    _ascent_rows,
     _first_violation,
     apply_pattern,
     eo_equiv,
@@ -68,7 +69,7 @@ def pair_sets(p):
     ``eolab pattern`` prints for them."""
     return tuple(
         frozenset(tuple(map(int, pair.strip("()").split(","))) for pair in joined.split())
-        for joined in _join_pairs(p, "(", ")", " ")
+        for joined in _join_pairs(len(p.ranks), _ascent_rows(p), "(", ")", " ")
     )
 
 
@@ -202,7 +203,8 @@ def test_pair_sets_agree_with_literal_reference_long(ranks):
 
 
 def test_pairset_json_sorted():
-    assert _join_pairs(OrderPattern((2, 1, 0)), "[", "]", ",") == ("", "[0,1],[0,2],[1,2]")
+    p = OrderPattern((2, 1, 0))
+    assert _join_pairs(3, _ascent_rows(p), "[", "]", ",") == ("", "[0,1],[0,2],[1,2]")
 
 
 # --- eo_leq / uniform / eo_equiv ----------------------------------------
